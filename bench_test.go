@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/attrenc"
 	"repro/internal/core"
@@ -248,7 +247,7 @@ func BenchmarkEngineBatch32RawQuery(b *testing.B) {
 func BenchmarkServeCoalesced(b *testing.B) {
 	im, batch := engineBenchSetup(servingClasses, 256, servingDim)
 	eng := infer.New(infer.NewBinaryBackend(im))
-	co := serve.NewCoalescer(eng, serve.Config{MaxBatch: servingBatch, MaxDelay: 2 * time.Millisecond})
+	co := serve.NewCoalescer(eng, serve.Config{MaxBatch: servingBatch})
 	defer co.Close()
 	ctx := context.Background()
 	b.SetParallelism(64)
@@ -267,8 +266,50 @@ func BenchmarkServeCoalesced(b *testing.B) {
 	})
 	b.StopTimer()
 	s := co.Stats()
-	b.Logf("coalescer: %d requests → %d batches (mean %.1f probes/batch; %d full, %d timer flushes)",
-		s.Requests, s.Batches, s.MeanBatch, s.FullFlushes, s.TimerFlushes)
+	b.Logf("coalescer: %d requests → %d batches (mean %.1f probes/batch; %d full, %d free-slot flushes)",
+		s.Requests, s.Batches, s.MeanBatch, s.FullFlushes, s.SlotFlushes)
+}
+
+// BenchmarkCoalescerBurst is the batched-regime evidence the end-to-end
+// benchmark cannot give (its driver caps connections at nproc, so every
+// batch there holds one probe): N closed-loop callers into ClassifyEpoch
+// under hdcserve's default admission policy. ns/op is per probe, with
+// the mean batch and the median queue wait beside it. N=1 is the idle
+// regime — no batching, so no queueing delay may be charged for it —
+// and N=32 the saturated one, where batching must still appear.
+func BenchmarkCoalescerBurst(b *testing.B) {
+	im, batch := engineBenchSetup(servingClasses, 256, servingDim)
+	eng := infer.New(infer.NewBinaryBackend(im))
+	ctx := context.Background()
+	for _, n := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			co := serve.NewCoalescer(eng, serve.Config{MaxBatch: servingBatch, Watermark: 4 * servingBatch})
+			defer co.Close()
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for c := 0; c < n; c++ {
+				iters := b.N / n
+				if c < b.N%n {
+					iters++
+				}
+				wg.Add(1)
+				go func(c, iters int) {
+					defer wg.Done()
+					for j := 0; j < iters; j++ {
+						if _, _, err := co.ClassifyEpoch(ctx, serve.Probe{Packed: batch[(c+j*n)%len(batch)]}, 1); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(c, iters)
+			}
+			wg.Wait()
+			b.StopTimer()
+			s := co.Stats()
+			b.ReportMetric(s.MeanBatch, "probes/batch")
+			b.ReportMetric(s.QueueWait.P50*1e3, "queue-p50-µs")
+		})
+	}
 }
 
 // --- Distributed serving benchmark (internal/dist). ---

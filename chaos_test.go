@@ -81,7 +81,6 @@ func TestServeOverloadReloadChaos(t *testing.T) {
 		"-seed", fmt.Sprint(chaosSeed),
 		"-workers", "1",
 		"-max-batch", "8",
-		"-max-delay", "5ms",
 		"-watermark", fmt.Sprint(chaosWatermark),
 		"-max-inflight", "1",
 	)

@@ -47,6 +47,12 @@
 // router's two-phase epoch flip across the growing range's replicas.
 // Every classify response carries the epoch it was served at.
 //
+// Batching: each coalescer runs at most -max-inflight batches at once
+// and dispatches work-conservingly — a probe is scored the moment an
+// execution slot is free, and probes coalesce (up to -max-batch) only
+// while every slot is busy. There is no flush timer: an idle server adds
+// no queueing delay, a saturated one runs full batches.
+//
 // Overload: the coalescers shed requests past the -watermark queue
 // depth (HTTP 429 + Retry-After) instead of queuing without bound, so
 // the latency of accepted requests stays bounded at any offered load;
@@ -117,11 +123,9 @@ func main() {
 		dim          = flag.Int("d", 1536, "hypervector dimensionality")
 		seed         = flag.Int64("seed", 1, "master seed for the synthetic class memory")
 		workers      = flag.Int("workers", 0, "engine shard workers per backend (0 = NumCPU)")
-		maxBatch     = flag.Int("max-batch", 32, "coalescer: flush when this many probes are pending")
-		maxDelay     = flag.Duration("max-delay", 2*time.Millisecond, "coalescer: flush at latest this long after the first pending probe")
-		minDelay     = flag.Duration("min-delay", 0, "coalescer: floor of the adaptive flush delay (0 = 100µs)")
+		maxBatch     = flag.Int("max-batch", 32, "coalescer: most probes in one engine batch")
 		watermark    = flag.Int("watermark", -1, "coalescer: shed (429) once this many requests are queued (-1 = 4×max-batch, 0 = block instead of shedding)")
-		maxInFlight  = flag.Int("max-inflight", 0, "coalescer: cap on concurrently executing engine batches (0 = 2×GOMAXPROCS when shedding is enabled)")
+		maxInFlight  = flag.Int("max-inflight", 0, "coalescer: execution slots, the cap on concurrently executing engine batches; probes batch only while all are busy (0 = 2×GOMAXPROCS)")
 		backends     = flag.String("backends", "float,binary,imc", "comma-separated backends to register (float, binary, imc)")
 		embedder     = flag.Bool("embedder", true, "register the frozen ResNet image embedder for /v1/embed-classify")
 		embedImg     = flag.Int("embed-img", 16, "embedder input image size (pixels, square)")
@@ -139,10 +143,7 @@ func main() {
 	if wm < 0 {
 		wm = 4 * *maxBatch
 	}
-	cfg := serve.Config{
-		MaxBatch: *maxBatch, MaxDelay: *maxDelay, MinDelay: *minDelay,
-		Watermark: wm, MaxInFlight: *maxInFlight,
-	}
+	cfg := serve.Config{MaxBatch: *maxBatch, Watermark: wm, MaxInFlight: *maxInFlight}
 	var (
 		reg    *serve.Registry
 		router *dist.Router
@@ -183,8 +184,8 @@ func main() {
 		log.Printf("hdcserve: routing %d classes at d=%d over %d shard ranges, models %v, embedders %v",
 			router.Classes(), router.Dim(), router.Shards(), reg.Names(), reg.EmbedderNames())
 	} else {
-		log.Printf("hdcserve: %d classes at d=%d (epoch %d, %d enrolled), models %v, embedders %v, coalescer max-batch=%d max-delay=%v",
-			*classes, *dim, store.Epoch(), store.EnrolledTotal(), reg.Names(), reg.EmbedderNames(), *maxBatch, *maxDelay)
+		log.Printf("hdcserve: %d classes at d=%d (epoch %d, %d enrolled), models %v, embedders %v, coalescer max-batch=%d watermark=%d",
+			*classes, *dim, store.Epoch(), store.EnrolledTotal(), reg.Names(), reg.EmbedderNames(), *maxBatch, wm)
 	}
 
 	// Hot reload: rebuild the class-memory engines and embedders from the

@@ -205,7 +205,6 @@ func TestMultiProcessServeRouter(t *testing.T) {
 		"-addr", "127.0.0.1:0",
 		"-router", layoutPath,
 		"-embedder=false",
-		"-max-delay", "1ms",
 	)
 	stderr, err := front.StderrPipe()
 	if err != nil {

@@ -286,7 +286,6 @@ func TestEnrollChaosSingleProcess(t *testing.T) {
 		"-seed", fmt.Sprint(seed),
 		"-workers", "2",
 		"-max-batch", "8",
-		"-max-delay", "1ms",
 		"-wal", wal,
 		// Small so the kill/restart cycle crosses a compaction: the
 		// restart replays snapshot + WAL tail, not just a log.
@@ -475,7 +474,6 @@ func TestEnrollChaosDistributed(t *testing.T) {
 		"-router", layoutPath,
 		"-embedder=false",
 		"-max-batch", "8",
-		"-max-delay", "1ms",
 		"-shard-timeout", "500ms",
 	)
 	frontErr, err := front.StderrPipe()

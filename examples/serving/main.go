@@ -1,10 +1,11 @@
 // Serving: the production posture of the inference engine. PR 1 made
 // the readout batched; this example shows the layer above it
 // (internal/serve): many independent clients each bring ONE probe, a
-// micro-batching coalescer merges them into engine batches under a
-// MaxBatch/MaxDelay policy, and one concurrency-safe engine serves all
-// of them. It measures the recovered throughput against the raw batched
-// path and the naive engine-per-request pattern.
+// micro-batching coalescer merges them into engine batches — a probe is
+// scored the moment an execution slot is free, and probes coalesce (up
+// to MaxBatch) only while every slot is busy — and one concurrency-safe
+// engine serves all of them. It measures the recovered throughput
+// against the raw batched path and the naive engine-per-request pattern.
 package main
 
 import (
@@ -45,7 +46,7 @@ func main() {
 	// One shared engine — safe for concurrent callers since the sync.Pool
 	// scratch refactor — behind one coalescer.
 	eng := infer.New(infer.NewBinaryBackend(im))
-	co := serve.NewCoalescer(eng, serve.Config{MaxBatch: 32, MaxDelay: 2 * time.Millisecond})
+	co := serve.NewCoalescer(eng, serve.Config{MaxBatch: 32})
 	defer co.Close()
 
 	// Each client probes with noisy copies of random prototypes.
@@ -120,7 +121,7 @@ func main() {
 		naiveDur.Seconds()*1000, float64(total)/naiveDur.Seconds()/1e3)
 	fmt.Printf("  coalesced serving layer                : %8.2f ms  (%.0fk probes/s, identical answers)\n\n",
 		serveDur.Seconds()*1000, float64(total)/serveDur.Seconds()/1e3)
-	fmt.Printf("coalescer: %d requests → %d engine batches (mean %.1f probes/batch, largest %d; %d full, %d timer flushes)\n",
-		s.Requests, s.Batches, s.MeanBatch, s.LargestBatch, s.FullFlushes, s.TimerFlushes)
+	fmt.Printf("coalescer: %d requests → %d engine batches (mean %.1f probes/batch, largest %d; %d full, %d free-slot flushes)\n",
+		s.Requests, s.Batches, s.MeanBatch, s.LargestBatch, s.FullFlushes, s.SlotFlushes)
 	fmt.Println("\n→ single-probe clients keep batched-engine throughput without ever seeing a batch; cmd/hdcserve exposes this over HTTP")
 }

@@ -46,12 +46,14 @@ type reply struct {
 // batches finish on the old one.
 type querierBox struct{ q Querier }
 
-// Coalescer merges single-probe Classify calls into engine batches under
-// a MaxBatch/adaptive-delay policy and demultiplexes the per-probe
-// results back to the waiting callers. One goroutine owns admission;
-// each flushed batch executes on its own goroutine against the shared
+// Coalescer merges single-probe Classify calls into engine batches and
+// demultiplexes the per-probe results back to the waiting callers. One
+// goroutine owns admission; each flushed batch executes on its own
+// goroutine, in one of MaxInFlight execution slots, against the shared
 // concurrency-safe Querier — a local infer.Engine or a dist.Router over
-// shard processes — so a slow batch never blocks admission of the next.
+// shard processes. Dispatch is work-conserving: a pending batch flushes
+// the moment a slot is free, so an idle service never holds a probe,
+// and probes coalesce (up to MaxBatch) only while every slot is busy.
 //
 // Overload behavior: with Config.Watermark set, a request arriving
 // while the admission queue already holds Watermark undispatched probes
@@ -71,19 +73,17 @@ type Coalescer struct {
 	mu        sync.RWMutex // guards closed vs. senders on reqs
 	closed    bool
 	exec      sync.WaitGroup // in-flight batch executions
-	execSlots chan struct{}  // bounds concurrent executions (nil: unbounded)
+	execSlots chan struct{}  // semaphore: one token per executing batch (cap MaxInFlight)
 	asm       sync.Pool      // *batchScratch: pooled input-assembly buffers
 
 	// serving counters (atomics; largestBatch guarded by statMu)
-	requests, rejected          atomic.Uint64
-	shed, cancelled             atomic.Uint64
-	batches, full, timer, drain atomic.Uint64
-	probesServed                atomic.Uint64
-	inFlight                    atomic.Int64
-	depth                       atomic.Int64 // admitted, not yet dispatched
-	curDelay                    atomic.Int64 // last armed flush delay (ns)
-	statMu                      sync.Mutex
-	largestBatch                int
+	requests, rejected             atomic.Uint64
+	shed, cancelled                atomic.Uint64
+	batches, full, freeSlot, drain atomic.Uint64
+	probesServed                   atomic.Uint64
+	depth                          atomic.Int64 // admitted, not yet dispatched
+	statMu                         sync.Mutex
+	largestBatch                   int
 
 	// per-stage latency histograms (lock-free; see internal/lat)
 	queueWait lat.Hist
@@ -92,21 +92,19 @@ type Coalescer struct {
 
 // NewCoalescer wraps a shared querier — a local infer.Engine or a
 // dist.Router — with a micro-batching front. The zero Config takes the
-// defaults (MaxBatch 32, MaxDelay 2ms, blocking backpressure).
+// defaults (MaxBatch 32, 2×GOMAXPROCS execution slots, blocking
+// backpressure).
 func NewCoalescer(q Querier, cfg Config) *Coalescer {
 	cfg = cfg.withDefaults()
 	c := &Coalescer{
-		cfg:      cfg,
-		needs:    q.Requires(),
-		dim:      q.Dim(),
-		reqs:     make(chan *request, cfg.Queue),
-		loopDone: make(chan struct{}),
+		cfg:       cfg,
+		needs:     q.Requires(),
+		dim:       q.Dim(),
+		reqs:      make(chan *request, cfg.Queue),
+		loopDone:  make(chan struct{}),
+		execSlots: make(chan struct{}, cfg.MaxInFlight),
 	}
 	c.cur.Store(&querierBox{q: q})
-	c.curDelay.Store(int64(cfg.MaxDelay))
-	if cfg.MaxInFlight > 0 {
-		c.execSlots = make(chan struct{}, cfg.MaxInFlight)
-	}
 	c.asm.New = func() any { return new(batchScratch) }
 	go c.loop()
 	return c
@@ -301,11 +299,10 @@ func (c *Coalescer) Stats() Stats {
 		Cancelled:    c.cancelled.Load(),
 		Batches:      c.batches.Load(),
 		FullFlushes:  c.full.Load(),
-		TimerFlushes: c.timer.Load(),
+		SlotFlushes:  c.freeSlot.Load(),
 		DrainFlushes: c.drain.Load(),
-		InFlight:     c.inFlight.Load(),
+		InFlight:     int64(len(c.execSlots)),
 		QueueDepth:   c.depth.Load(),
-		CurDelay:     time.Duration(c.curDelay.Load()).String(),
 	}
 	if s.Batches > 0 {
 		s.MeanBatch = float64(c.probesServed.Load()) / float64(s.Batches)
@@ -318,142 +315,70 @@ func (c *Coalescer) Stats() Stats {
 	return s
 }
 
-// flush reasons, recorded in Stats.
-const (
-	flushFull = iota
-	flushTimer
-	flushDrain
-)
-
-// rateEWMAAlpha weights the inter-arrival EWMA the adaptive delay is
-// computed from: ~0.2 reacts within a handful of requests without
-// whipsawing on a single burst.
-const rateEWMAAlpha = 0.2
-
-// loop owns admission: it gathers requests until the batch fills or the
-// adaptive delay deadline fires, then hands the batch to an executor
-// goroutine.
-//
-// The flush timer adapts to the observed arrival rate: an EWMA over
-// inter-arrival intervals estimates how long the current batch needs to
-// fill, and the timer is armed to that estimate clamped to
-// [MinDelay, MaxDelay]. Under heavy load the estimate is tiny — a lone
-// probe is not held hostage to a MaxDelay that traffic will beat anyway,
-// and when traffic stalls mid-batch the short timer bounds the damage.
-// When idle the estimate is huge and clamps to MaxDelay, the legacy
-// behavior. MaxDelay therefore stays the hard admission-latency bound.
+// loop owns admission and is work-conserving: a pending batch is
+// dispatched the moment an execution slot is free, and keeps absorbing
+// arrivals (up to MaxBatch) only while every slot is busy. Batching is
+// therefore a by-product of backpressure, never of a timer — an idle
+// service answers a lone probe at once, a saturated one runs full
+// batches. A full batch stops admission until a slot frees: that is the
+// backpressure chain that turns a slow backend into queue depth (and
+// queue depth, at the watermark, into shedding) instead of into an
+// unbounded pile of concurrent batches.
 func (c *Coalescer) loop() {
 	defer close(c.loopDone)
 	pending := make([]*request, 0, c.cfg.MaxBatch)
-	var delay *time.Timer
-	var deadline <-chan time.Time
-
-	var lastArrival time.Time
-	ewmaGap := float64(c.cfg.MaxDelay) // pessimistic start: behave like the fixed policy
-
-	observe := func(r *request) {
-		if !lastArrival.IsZero() {
-			gap := float64(r.enq.Sub(lastArrival))
-			if gap < 0 {
-				gap = 0
-			}
-			ewmaGap += rateEWMAAlpha * (gap - ewmaGap)
-		}
-		lastArrival = r.enq
-	}
-	adaptiveDelay := func() time.Duration {
-		remaining := c.cfg.MaxBatch - len(pending)
-		if remaining < 1 {
-			remaining = 1
-		}
-		d := time.Duration(ewmaGap * float64(remaining))
-		if d < c.cfg.MinDelay {
-			d = c.cfg.MinDelay
-		}
-		if d > c.cfg.MaxDelay {
-			d = c.cfg.MaxDelay
-		}
-		return d
-	}
-
-	disarm := func() {
-		if delay != nil {
-			delay.Stop()
-			delay = nil
-			deadline = nil
-		}
-	}
-	flush := func(reason int) {
-		if len(pending) == 0 {
-			return
-		}
-		disarm()
-		batch := pending
-		pending = make([]*request, 0, c.cfg.MaxBatch)
-		c.dispatch(batch, reason)
-	}
-
 	for {
+		// A nil channel is never ready: nothing pending means nothing to
+		// flush, a full batch means nothing more to admit.
+		in, slot := c.reqs, c.execSlots
+		if len(pending) == 0 {
+			slot = nil
+		} else if len(pending) == c.cfg.MaxBatch {
+			in = nil
+		}
 		select {
-		case r, ok := <-c.reqs:
-			if !ok {
-				flush(flushDrain)
-				return
+		case slot <- struct{}{}:
+			why := &c.freeSlot
+			if len(pending) == c.cfg.MaxBatch {
+				why = &c.full
 			}
-			observe(r)
-			pending = append(pending, r)
+			c.dispatch(pending, why)
+			pending = make([]*request, 0, c.cfg.MaxBatch)
+		case r, ok := <-in:
 			// Greedy drain: pull everything already queued without going
 			// back through the scheduler, up to the batch cap.
-			for len(pending) < c.cfg.MaxBatch {
+			for ok {
+				pending = append(pending, r)
+				if len(pending) == c.cfg.MaxBatch {
+					break
+				}
 				select {
-				case r, ok := <-c.reqs:
-					if !ok {
-						flush(flushDrain)
-						return
-					}
-					observe(r)
-					pending = append(pending, r)
+				case r, ok = <-in:
 					continue
 				default:
 				}
 				break
 			}
-			if len(pending) >= c.cfg.MaxBatch {
-				flush(flushFull)
-			} else if delay == nil {
-				d := adaptiveDelay()
-				c.curDelay.Store(int64(d))
-				delay = time.NewTimer(d)
-				deadline = delay.C
+			if !ok { // Close: flush what is pending and exit
+				if len(pending) > 0 {
+					c.execSlots <- struct{}{}
+					c.dispatch(pending, &c.drain)
+				}
+				return
 			}
-		case <-deadline:
-			delay, deadline = nil, nil
-			flush(flushTimer)
 		}
 	}
 }
 
-// dispatch records stats for a flushed batch and executes it on its own
-// goroutine against the shared engine. With MaxInFlight set, it blocks
-// the admission loop until an execution slot frees — that is the
-// backpressure chain that turns a slow backend into queue depth (and
-// queue depth, at the watermark, into shedding) instead of into an
-// unbounded pile of concurrent batches.
-func (c *Coalescer) dispatch(batch []*request, reason int) {
-	if c.execSlots != nil {
-		c.execSlots <- struct{}{}
-	}
+// dispatch records stats for a flushed batch — why is the flush-reason
+// counter it falls under — and executes it on its own goroutine against
+// the shared engine. The caller has already acquired the batch's
+// execution slot; the goroutine releases it.
+func (c *Coalescer) dispatch(batch []*request, why *atomic.Uint64) {
 	c.depth.Add(-int64(len(batch)))
 	c.batches.Add(1)
 	c.probesServed.Add(uint64(len(batch)))
-	switch reason {
-	case flushFull:
-		c.full.Add(1)
-	case flushTimer:
-		c.timer.Add(1)
-	case flushDrain:
-		c.drain.Add(1)
-	}
+	why.Add(1)
 	c.statMu.Lock()
 	if len(batch) > c.largestBatch {
 		c.largestBatch = len(batch)
@@ -461,13 +386,9 @@ func (c *Coalescer) dispatch(batch []*request, reason int) {
 	c.statMu.Unlock()
 
 	c.exec.Add(1)
-	c.inFlight.Add(1)
 	go func() {
 		defer c.exec.Done()
-		defer c.inFlight.Add(-1)
-		if c.execSlots != nil {
-			defer func() { <-c.execSlots }()
-		}
+		defer func() { <-c.execSlots }()
 		c.execute(batch)
 	}()
 }

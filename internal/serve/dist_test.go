@@ -61,8 +61,8 @@ func TestCoalescerFrontsRouter(t *testing.T) {
 	}
 	t.Cleanup(router.Close)
 
-	coLocal := NewCoalescer(local, Config{MaxDelay: time.Millisecond})
-	coDist := NewCoalescer(router, Config{MaxDelay: time.Millisecond})
+	coLocal := NewCoalescer(local, Config{})
+	coDist := NewCoalescer(router, Config{})
 	t.Cleanup(coLocal.Close)
 	t.Cleanup(coDist.Close)
 

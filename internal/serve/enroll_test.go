@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/classmem"
 	"repro/internal/hdc"
@@ -57,7 +56,7 @@ func TestCoalescerSwapQuerierGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng0 := infer.New(b0, infer.WithEpoch(v.Epoch()))
-	co := NewCoalescer(eng0, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	co := NewCoalescer(eng0, Config{MaxBatch: 4})
 	defer co.Close()
 
 	probe := v.Snapshot().Mem.Phi.Row(3)
@@ -107,7 +106,7 @@ func TestHTTPEnroll(t *testing.T) {
 	v := classmem.NewVersioned(classes, d, 32)
 	reg := NewRegistry()
 	t.Cleanup(func() { reg.Close() })
-	co := NewCoalescer(mustEpochQuerier(t, v), Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	co := NewCoalescer(mustEpochQuerier(t, v), Config{MaxBatch: 4})
 	if err := reg.Register("float", co); err != nil {
 		t.Fatal(err)
 	}

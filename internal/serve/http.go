@@ -143,7 +143,7 @@ type modelStats struct {
 	EnrolledTotal uint64                  `json:"enrolled_total,omitempty"`
 	WALBytes      int64                   `json:"wal_bytes,omitempty"`
 	MaxBatch      int                     `json:"max_batch"`
-	MaxDelay      string                  `json:"max_delay"`
+	MaxInFlight   int                     `json:"max_inflight"`
 	Watermark     int                     `json:"watermark,omitempty"`
 	QuerierLat    map[string]lat.Snapshot `json:"querier_lat,omitempty"`
 	Stats
@@ -387,13 +387,13 @@ func NewHandler(reg *Registry, hookList ...Hooks) http.Handler {
 			}
 			q := co.Querier()
 			ms := modelStats{
-				Backend:   q.Name(),
-				Classes:   q.Classes(),
-				Dim:       q.Dim(),
-				MaxBatch:  co.Config().MaxBatch,
-				MaxDelay:  co.Config().MaxDelay.String(),
-				Watermark: co.Config().Watermark,
-				Stats:     co.Stats(),
+				Backend:     q.Name(),
+				Classes:     q.Classes(),
+				Dim:         q.Dim(),
+				MaxBatch:    co.Config().MaxBatch,
+				MaxInFlight: co.Config().MaxInFlight,
+				Watermark:   co.Config().Watermark,
+				Stats:       co.Stats(),
 			}
 			if w, ok := q.(interface{ Workers() int }); ok {
 				ms.Workers = w.Workers()
@@ -465,8 +465,9 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 
 // retryAfterSeconds is the Retry-After hint sent with 429 responses: a
 // coalescer sheds because its queue already holds more than a watermark
-// of work, which drains within a few MaxDelay windows — one second is a
-// safely conservative client backoff at any sane configuration.
+// of work, which drains in Watermark/(MaxBatch×MaxInFlight) rounds of
+// batch readouts — one second is a safely conservative client backoff at
+// any sane configuration.
 const retryAfterSeconds = 1
 
 // classifyError maps Coalescer.Classify errors onto status codes,

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/infer"
 )
@@ -16,7 +16,7 @@ import (
 func newTestServer(t *testing.T, f *fixture) (*httptest.Server, *Registry) {
 	t.Helper()
 	reg := NewRegistry()
-	cfg := Config{MaxBatch: 8, MaxDelay: time.Millisecond}
+	cfg := Config{MaxBatch: 8}
 	if err := reg.Register("float", NewCoalescer(
 		infer.New(infer.NewFloatBackend(f.phi, f.labels, 1), infer.WithWorkers(2)), cfg)); err != nil {
 		t.Fatal(err)
@@ -160,6 +160,12 @@ func TestHTTPHealthAndStats(t *testing.T) {
 		}
 		if s.Classes != classes || s.Dim != d || s.Requests != 1 || s.Batches != 1 {
 			t.Fatalf("%s stats = %+v", model, s)
+		}
+		// What shapes batches is reported as resolved, not as configured:
+		// the fixture leaves MaxInFlight at its default.
+		if s.MaxBatch != 8 || s.MaxInFlight != 2*runtime.GOMAXPROCS(0) || s.SlotFlushes != 1 {
+			t.Fatalf("%s stats: max_batch=%d max_inflight=%d slot_flushes=%d, want 8, %d, 1",
+				model, s.MaxBatch, s.MaxInFlight, s.SlotFlushes, 2*runtime.GOMAXPROCS(0))
 		}
 		// The stage decomposition must be present and see the request.
 		if s.QueueWait == nil || s.Readout == nil {

@@ -56,7 +56,7 @@ func TestCoalescerOverloadSheds(t *testing.T) {
 	want := eng.Query(infer.DenseBatch(f.dense), 3)
 	slow := newSlowQuerier(eng, 20*time.Millisecond)
 	co := NewCoalescer(slow, Config{
-		MaxBatch: 4, MaxDelay: time.Millisecond, Watermark: watermark, MaxInFlight: 1,
+		MaxBatch: 4, Watermark: watermark, MaxInFlight: 1,
 	})
 	defer co.Close()
 
@@ -120,7 +120,7 @@ func TestCoalescerQueueDepthBounded(t *testing.T) {
 	f := newFixture(classes, d, 4, 22)
 	eng := infer.New(infer.NewFloatBackend(f.phi, f.labels, 1))
 	slow := newSlowQuerier(eng, 10*time.Millisecond)
-	co := NewCoalescer(slow, Config{MaxBatch: 2, MaxDelay: time.Millisecond, Watermark: watermark, MaxInFlight: 2})
+	co := NewCoalescer(slow, Config{MaxBatch: 2, Watermark: watermark, MaxInFlight: 2})
 	defer co.Close()
 
 	stop := make(chan struct{})
@@ -157,45 +157,76 @@ func TestCoalescerQueueDepthBounded(t *testing.T) {
 	}
 }
 
-// A request whose context is cancelled while it waits in the queue is
+// A request whose context is cancelled while it waits for a slot is
 // dropped at drain time: the backend never sees it and the Cancelled
 // counter moves.
 func TestCoalescerDropsCancelledAtDrain(t *testing.T) {
 	const classes, d = 7, 64
-	f := newFixture(classes, d, 2, 23)
-	eng := infer.New(infer.NewFloatBackend(f.phi, f.labels, 1))
-	slow := newSlowQuerier(eng, 0)
-	// Long MaxDelay: the request sits in the pending batch long enough
-	// for the cancellation to land before the flush.
-	co := NewCoalescer(slow, Config{MaxBatch: 1024, MaxDelay: 80 * time.Millisecond})
+	f := newFixture(classes, d, 3, 23)
+	g := newGateQuerier(infer.New(infer.NewFloatBackend(f.phi, f.labels, 1)))
+	co := NewCoalescer(g, Config{MaxBatch: 1024, MaxInFlight: 1})
 	defer co.Close()
 
+	held := holdSlot(co, g, f.dense.Row(0))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := co.Classify(ctx, Probe{Dense: f.dense.Row(0)}, 1)
+		_, err := co.Classify(ctx, Probe{Dense: f.dense.Row(1)}, 1)
 		done <- err
 	}()
-	time.Sleep(15 * time.Millisecond) // let it enqueue
+	waitAdmitted(t, co, 2)
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Classify err = %v", err)
 	}
-	// Wait past the flush deadline: the drain must skip the dead request.
-	deadline := time.Now().Add(2 * time.Second)
-	for co.Stats().Cancelled == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	g.open()
+	if err := <-held; err != nil {
+		t.Fatal(err)
 	}
-	s := co.Stats()
-	if s.Cancelled != 1 {
+	// A live caller on the same coalescer still gets served. Its batch is
+	// the dead request's batch or a later one on the single slot, so once
+	// it returns the drain has already skipped the dead request.
+	if _, err := co.Classify(context.Background(), Probe{Dense: f.dense.Row(2)}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if s := co.Stats(); s.Cancelled != 1 {
 		t.Fatalf("cancelled counter = %d, want 1 (%+v)", s.Cancelled, s)
 	}
-	if slow.probes.Load() != 0 {
-		t.Fatalf("backend saw %d probes for a cancelled request", slow.probes.Load())
+	if got := g.probes.Load(); got != 2 {
+		t.Fatalf("backend saw %d probes, want 2: the slot holder and the live follow-up", got)
 	}
-	// A live caller on the same coalescer still gets served.
-	if _, err := co.Classify(context.Background(), Probe{Dense: f.dense.Row(1)}, 1); err != nil {
+}
+
+// Shedding engages while the admission loop is blocked on a slot: with
+// the only slot held and a full batch pending, admitted probes pile up
+// to the watermark and the next one fails fast — nothing times out, and
+// everything admitted is still served once the slot frees.
+func TestCoalescerShedsWhileBlockedOnSlot(t *testing.T) {
+	const classes, d = 7, 64
+	const maxBatch, watermark = 4, 6
+	f := newFixture(classes, d, 1+watermark, 27)
+	g := newGateQuerier(infer.New(infer.NewFloatBackend(f.phi, f.labels, 1)))
+	co := NewCoalescer(g, Config{MaxBatch: maxBatch, Watermark: watermark, MaxInFlight: 1})
+	defer co.Close()
+
+	held := holdSlot(co, g, f.dense.Row(0))
+	wait := classifyAll(co, f.dense, 1, watermark)
+	waitAdmitted(t, co, 1+watermark)
+	if s := co.Stats(); s.QueueDepth != watermark {
+		t.Fatalf("queue depth %d with the slot held, want the watermark %d", s.QueueDepth, watermark)
+	}
+	if _, err := co.Classify(context.Background(), Probe{Dense: f.dense.Row(0)}, 1); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("probe past the watermark: err = %v, want ErrOverloaded", err)
+	}
+	g.open()
+	if err := wait(); err != nil {
+		t.Fatalf("admitted %v", err)
+	}
+	if err := <-held; err != nil {
 		t.Fatal(err)
+	}
+	if s := co.Stats(); s.Shed != 1 || s.Requests != 1+watermark || s.FullFlushes != 1 {
+		t.Fatalf("want 1 shed, %d served, one full flush; got %+v", 1+watermark, s)
 	}
 }
 
@@ -208,7 +239,7 @@ func TestCoalescerSwapQuerier(t *testing.T) {
 	engA := infer.New(infer.NewFloatBackend(f.phi, f.labels, 1))
 	engB := infer.New(infer.NewFloatBackend(f.phi, f.labels, 1), infer.WithWorkers(2))
 	want := engA.Query(infer.DenseBatch(f.dense), 2)
-	co := NewCoalescer(engA, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
+	co := NewCoalescer(engA, Config{MaxBatch: 4})
 	defer co.Close()
 
 	stop := make(chan struct{})
@@ -268,56 +299,5 @@ func TestCoalescerSwapQuerier(t *testing.T) {
 	}
 	if _, err := co.Classify(context.Background(), Probe{Dense: f.dense.Row(0)}, 1); err != nil {
 		t.Fatalf("coalescer broken after rejected swap: %v", err)
-	}
-}
-
-// The adaptive delay must tighten under load and report through Stats:
-// drive a burst of traffic and the armed delay should fall below
-// MaxDelay; after idling it returns to MaxDelay on the next lone probe.
-func TestCoalescerAdaptiveDelay(t *testing.T) {
-	const classes, d, probes = 7, 64, 64
-	f := newFixture(classes, d, probes, 26)
-	eng := infer.New(infer.NewFloatBackend(f.phi, f.labels, 1))
-	co := NewCoalescer(eng, Config{
-		MaxBatch: 16, MaxDelay: 50 * time.Millisecond, MinDelay: 100 * time.Microsecond,
-	})
-	defer co.Close()
-
-	// Paced arrivals with gaps ≪ MaxDelay: the EWMA converges to the
-	// small gap, so timers armed mid-stream (partial batches between
-	// greedy drains) must be far below MaxDelay. Retry a few rounds —
-	// exact flush timing is scheduler-dependent.
-	var cur time.Duration
-	for round := 0; round < 10; round++ {
-		var wg sync.WaitGroup
-		for p := 0; p < probes; p++ {
-			wg.Add(1)
-			time.Sleep(20 * time.Microsecond) // stagger admissions
-			go func(p int) {
-				defer wg.Done()
-				if _, err := co.Classify(context.Background(), Probe{Dense: f.dense.Row(p)}, 1); err != nil {
-					panic(err)
-				}
-			}(p)
-		}
-		wg.Wait()
-		var err error
-		if cur, err = time.ParseDuration(co.Stats().CurDelay); err != nil {
-			t.Fatalf("unparseable CurDelay: %v", err)
-		}
-		if cur < 50*time.Millisecond {
-			break
-		}
-	}
-	if cur >= 50*time.Millisecond {
-		t.Fatalf("adaptive delay %v did not tighten under burst load", cur)
-	}
-	// MaxDelay stays the hard bound: a lone probe is never delayed past it.
-	start := time.Now()
-	if _, err := co.Classify(context.Background(), Probe{Dense: f.dense.Row(0)}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("lone probe waited %v", waited)
 	}
 }

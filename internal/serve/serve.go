@@ -5,12 +5,16 @@
 // Three pieces compose:
 //
 //   - Coalescer: a micro-batching front. Callers submit single probes
-//     (Classify); the coalescer merges them into engine batches under a
-//     MaxBatch/MaxDelay admission policy, runs batches through one shared
-//     concurrency-safe infer.Engine, and demultiplexes per-probe Results
-//     back to the waiting callers. Single-probe callers get within a few
-//     percent of raw batched-Query throughput (see BenchmarkServeCoalesced
-//     at the repo root) without ever seeing a batch.
+//     (Classify); the coalescer runs them through one shared
+//     concurrency-safe infer.Engine in at most MaxInFlight concurrent
+//     batches and demultiplexes per-probe Results back to the waiting
+//     callers. Dispatch is work-conserving — a probe flushes as soon as an
+//     execution slot is free and coalesces with later arrivals (up to
+//     MaxBatch) only while every slot is busy — so an idle service adds
+//     no queueing delay, and under load single-probe callers get within a
+//     few percent of raw batched-Query throughput (see
+//     BenchmarkServeCoalesced at the repo root) without ever seeing a
+//     batch.
 //   - Registry: a named model table, so one process serves the float,
 //     packed-binary, and analog-crossbar backends side by side. It also
 //     names Embedders: frozen networks run through the stateless nn
@@ -88,12 +92,14 @@ type Querier interface {
 
 // Config is the coalescer's admission policy.
 type Config struct {
-	// MaxBatch flushes a pending batch once it holds this many probes
-	// (default 32, the evaluation pipeline's embedding batch size).
+	// MaxBatch caps the probes in one engine batch (default 32, the
+	// evaluation pipeline's embedding batch size). A batch that reaches it
+	// stops admission until an execution slot frees.
 	MaxBatch int
-	// MaxDelay flushes a non-empty pending batch at latest this long
-	// after its first probe was admitted (default 2ms), bounding the
-	// latency a lone probe pays for batching.
+	// MaxDelay is ignored: dispatch is work-conserving and has no flush
+	// timer. The field remains only so the frozen benchmark harness
+	// (benchmark/hdcbench), which still sets it, compiles; the next PR
+	// that may edit benchmark/ removes it.
 	MaxDelay time.Duration
 	// Queue is the admission queue capacity (default 4×MaxBatch). A full
 	// queue applies backpressure: Classify blocks until the coalescer
@@ -102,28 +108,18 @@ type Config struct {
 	// Watermark is the admission-queue depth (requests admitted but not
 	// yet dispatched to the engine) beyond which new requests are shed
 	// with ErrOverloaded instead of queuing. 0 disables shedding and
-	// keeps the legacy blocking backpressure; when set, Queue is raised
-	// to at least Watermark so admission below the watermark never
-	// blocks. cmd/hdcserve enables it by default (-watermark).
+	// keeps blocking backpressure; when set, Queue is raised to at least
+	// Watermark so admission below the watermark never blocks.
+	// cmd/hdcserve enables it by default (-watermark).
 	Watermark int
-	// MaxInFlight caps concurrently executing engine batches. 0 means
-	// unbounded (the legacy behavior: a slow batch never delays the
-	// next). When Watermark is set it defaults to 2×GOMAXPROCS: bounding
-	// in-flight work is what makes the watermark effective — a slow
-	// backend fills the execution slots, the admission loop blocks, the
-	// queue builds to the watermark, and new arrivals shed. Without the
-	// cap a slow backend just accumulates unbounded concurrent batches
-	// and the queue never reports the overload.
+	// MaxInFlight is the number of execution slots: the cap on
+	// concurrently executing engine batches (default 2×GOMAXPROCS). With
+	// MaxBatch it is all that shapes batches — a pending batch flushes the
+	// moment a slot is free, and probes coalesce only while all slots are
+	// busy. It is also what makes the watermark effective: a slow backend
+	// fills the slots, the admission loop blocks, the queue builds to the
+	// watermark, and new arrivals shed.
 	MaxInFlight int
-	// MinDelay is the floor of the adaptive flush delay (default 100µs,
-	// clamped to MaxDelay). The coalescer tracks the observed arrival
-	// rate and arms each batch's flush timer to the expected time for
-	// the batch to fill, clamped to [MinDelay, MaxDelay]: under load a
-	// lone probe waits far less than MaxDelay (the batch will fill or
-	// the short timer fires), while an idle service keeps the full
-	// MaxDelay window to give stragglers a chance to coalesce. MaxDelay
-	// remains the hard latency bound either way.
-	MinDelay time.Duration
 }
 
 // withDefaults fills unset fields.
@@ -131,23 +127,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
 	if c.Queue <= 0 {
 		c.Queue = 4 * c.MaxBatch
 	}
 	if c.Watermark > 0 && c.Queue < c.Watermark {
 		c.Queue = c.Watermark
 	}
-	if c.Watermark > 0 && c.MaxInFlight <= 0 {
+	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
-	if c.MinDelay <= 0 {
-		c.MinDelay = 100 * time.Microsecond
-	}
-	if c.MinDelay > c.MaxDelay {
-		c.MinDelay = c.MaxDelay
 	}
 	return c
 }
@@ -161,15 +148,12 @@ type Stats struct {
 	Cancelled    uint64  `json:"cancelled"`     // admitted probes dropped at drain: caller ctx already done
 	Batches      uint64  `json:"batches"`       // engine batches flushed
 	FullFlushes  uint64  `json:"full_flushes"`  // batches flushed because they reached MaxBatch
-	TimerFlushes uint64  `json:"timer_flushes"` // batches flushed by the adaptive delay deadline
+	SlotFlushes  uint64  `json:"slot_flushes"`  // batches flushed below MaxBatch because an execution slot was free
 	DrainFlushes uint64  `json:"drain_flushes"` // batches flushed while shutting down
 	LargestBatch int     `json:"largest_batch"` // largest batch flushed so far
 	MeanBatch    float64 `json:"mean_batch"`    // mean probes per flushed batch
 	InFlight     int64   `json:"in_flight"`     // batches currently executing on the engine
 	QueueDepth   int64   `json:"queue_depth"`   // probes admitted but not yet dispatched
-	// CurDelay is the most recently armed adaptive flush delay — MaxDelay
-	// when idle, shrinking toward MinDelay as the arrival rate rises.
-	CurDelay string `json:"cur_delay,omitempty"`
 
 	// Per-stage latency histograms, the internal decomposition of what
 	// cmd/hdcload measures externally: how long probes waited in the

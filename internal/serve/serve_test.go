@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,6 +55,98 @@ func (f *fixture) backends() []infer.Backend {
 	}
 }
 
+// gateQuerier parks every TryQuery until the test opens the gate. Behind
+// a coalescer with MaxInFlight: 1 the first parked batch holds the only
+// execution slot, so what queues behind it — and how the admission loop
+// batches it once the slot frees — is decided by the test, not by the
+// scheduler or a sleep.
+type gateQuerier struct {
+	Querier
+	held    chan struct{} // closed when the first TryQuery reaches the gate
+	gate    chan struct{} // closed by open: parked and later calls proceed
+	once    sync.Once
+	batches atomic.Int64
+	probes  atomic.Int64 // probes that reached the backend
+}
+
+func newGateQuerier(inner Querier) *gateQuerier {
+	return &gateQuerier{Querier: inner, held: make(chan struct{}), gate: make(chan struct{})}
+}
+
+func (g *gateQuerier) TryQuery(batch *infer.Batch, k int) ([]infer.Result, error) {
+	g.once.Do(func() { close(g.held) })
+	<-g.gate
+	g.batches.Add(1)
+	g.probes.Add(int64(batch.Len()))
+	return g.Querier.TryQuery(batch, k)
+}
+
+func (g *gateQuerier) open() { close(g.gate) }
+
+// holdSlot occupies the single execution slot of a coalescer built over
+// g: it submits probe and returns once that probe's batch (of one — the
+// slot was free) is parked on the gate. The channel yields the probe's
+// Classify error after the gate opens.
+func holdSlot(co *Coalescer, g *gateQuerier, probe []float32) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		_, err := co.Classify(context.Background(), Probe{Dense: probe}, 1)
+		done <- err
+	}()
+	<-g.held
+	return done
+}
+
+// classifyAll submits rows [from, from+n) of dense, each from its own
+// goroutine, and returns a function that waits for all of them and
+// reports the first failure.
+func classifyAll(co *Coalescer, dense *tensor.Tensor, from, n int) (wait func() error) {
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for p := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[p] = co.Classify(context.Background(), Probe{Dense: dense.Row(from + p)}, 1)
+		}()
+	}
+	return func() error {
+		wg.Wait()
+		for p, err := range errs {
+			if err != nil {
+				return fmt.Errorf("probe %d: %w", from+p, err)
+			}
+		}
+		return nil
+	}
+}
+
+// waitFor spins until cond holds; the conditions tests wait on are
+// reached by other goroutines making progress, never by time passing.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// waitAdmitted returns once n probes in total have been admitted and,
+// with the slot held by the first, the admission loop has absorbed as
+// many of the other n-1 as its pending batch takes — the rest sit in the
+// queue. From then on the loop is blocked on the slot and the batching
+// of those n-1 probes is fixed.
+func waitAdmitted(t *testing.T, co *Coalescer, n int) {
+	t.Helper()
+	queued := max(0, n-1-co.cfg.MaxBatch)
+	waitFor(t, fmt.Sprintf("%d admitted probes", n), func() bool {
+		return co.Stats().Requests == uint64(n) && len(co.reqs) == queued
+	})
+}
+
 // Concurrent single-probe Classify calls through the coalescer must
 // return exactly what a direct batched Engine.Query returns for the same
 // probes — per backend, under the race detector in CI.
@@ -63,7 +157,7 @@ func TestCoalescerParityWithDirectQuery(t *testing.T) {
 		eng := infer.New(be, infer.WithWorkers(3))
 		want := eng.Query(infer.DenseBatch(f.dense), 4)
 
-		co := NewCoalescer(eng, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+		co := NewCoalescer(eng, Config{MaxBatch: 8})
 		var wg sync.WaitGroup
 		errs := make(chan error, probes)
 		for p := 0; p < probes; p++ {
@@ -104,44 +198,64 @@ func TestCoalescerParityWithDirectQuery(t *testing.T) {
 	}
 }
 
-// The coalescer must actually coalesce: with many concurrent callers and
-// a generous MaxDelay, mean batch size has to rise well above 1.
+// Batching is a by-product of backpressure: probes admitted while every
+// execution slot is busy run as one batch when a slot frees — exactly one
+// batch of K below MaxBatch, full MaxBatch flushes from K upward.
 func TestCoalescerMergesConcurrentRequests(t *testing.T) {
-	const classes, d, probes = 11, 128, 64
-	f := newFixture(classes, d, probes, 2)
-	eng := infer.New(infer.NewBinaryBackend(f.im), infer.WithWorkers(2))
-	co := NewCoalescer(eng, Config{MaxBatch: 16, MaxDelay: 50 * time.Millisecond})
-	defer co.Close()
+	const classes, d, maxBatch = 11, 128, 8
+	for _, tc := range []struct {
+		k               int // probes admitted behind the held slot
+		batches         uint64
+		full, slotFlush uint64
+		largest         int
+	}{
+		{k: 5, batches: 2, full: 0, slotFlush: 2, largest: 5},                     // 1 | 5
+		{k: maxBatch, batches: 2, full: 1, slotFlush: 1, largest: maxBatch},       // 1 | 8
+		{k: 2*maxBatch + 3, batches: 4, full: 2, slotFlush: 2, largest: maxBatch}, // 1 | 8 | 8 | 3
+	} {
+		t.Run(fmt.Sprintf("K=%d", tc.k), func(t *testing.T) {
+			f := newFixture(classes, d, 1+tc.k, 2)
+			g := newGateQuerier(infer.New(infer.NewBinaryBackend(f.im), infer.WithWorkers(2)))
+			co := NewCoalescer(g, Config{MaxBatch: maxBatch, MaxInFlight: 1})
+			defer co.Close()
 
-	var wg sync.WaitGroup
-	for p := 0; p < probes; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			if _, err := co.Classify(context.Background(), Probe{Dense: f.dense.Row(p)}, 1); err != nil {
-				panic(err)
+			held := holdSlot(co, g, f.dense.Row(0))
+			wait := classifyAll(co, f.dense, 1, tc.k)
+			waitAdmitted(t, co, 1+tc.k)
+			if s := co.Stats(); s.Batches != 1 || s.InFlight != 1 {
+				t.Fatalf("with the slot held: %d batches, %d in flight, want 1 and 1 (%+v)", s.Batches, s.InFlight, s)
 			}
-		}(p)
-	}
-	wg.Wait()
-	s := co.Stats()
-	if s.MeanBatch < 2 {
-		t.Fatalf("mean batch %.2f — the coalescer is not batching (stats %+v)", s.MeanBatch, s)
-	}
-	if s.LargestBatch > 16 {
-		t.Fatalf("batch of %d exceeded MaxBatch 16", s.LargestBatch)
+			g.open()
+			if err := wait(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-held; err != nil {
+				t.Fatal(err)
+			}
+			s := co.Stats()
+			if s.Batches != tc.batches || s.FullFlushes != tc.full || s.SlotFlushes != tc.slotFlush || s.LargestBatch != tc.largest {
+				t.Fatalf("got %d batches (%d full, %d free-slot, largest %d), want %d (%d, %d, %d): %+v",
+					s.Batches, s.FullFlushes, s.SlotFlushes, s.LargestBatch,
+					tc.batches, tc.full, tc.slotFlush, tc.largest, s)
+			}
+			if got := g.batches.Load(); uint64(got) != tc.batches {
+				t.Fatalf("backend ran %d batches, stats say %d", got, tc.batches)
+			}
+		})
 	}
 }
 
-// A lone probe must not wait forever: the MaxDelay deadline flushes it.
-func TestCoalescerMaxDelayFlushesLoneProbe(t *testing.T) {
+// An idle coalescer holds nothing back: with a free slot a lone probe is
+// dispatched at once as a batch of one, however large MaxBatch is.
+// (There is no timer that could flush it later — a coalescer that waited
+// for company would hang here.)
+func TestCoalescerIdleFlushesLoneProbe(t *testing.T) {
 	const classes, d = 7, 64
 	f := newFixture(classes, d, 1, 3)
 	eng := infer.New(infer.NewFloatBackend(f.phi, f.labels, 1))
-	co := NewCoalescer(eng, Config{MaxBatch: 1024, MaxDelay: 5 * time.Millisecond})
+	co := NewCoalescer(eng, Config{MaxBatch: 1024})
 	defer co.Close()
 
-	start := time.Now()
 	res, err := co.Classify(context.Background(), Probe{Dense: f.dense.Row(0)}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -149,11 +263,8 @@ func TestCoalescerMaxDelayFlushesLoneProbe(t *testing.T) {
 	if len(res.TopK) != 1 {
 		t.Fatalf("got %d hits, want 1", len(res.TopK))
 	}
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("lone probe waited %v; MaxDelay flush not working", waited)
-	}
-	if s := co.Stats(); s.TimerFlushes == 0 {
-		t.Fatalf("no timer flush recorded: %+v", s)
+	if s := co.Stats(); s.Batches != 1 || s.LargestBatch != 1 || s.SlotFlushes != 1 || s.FullFlushes != 0 {
+		t.Fatalf("lone probe on an idle coalescer: want one free-slot batch of 1, got %+v", s)
 	}
 }
 
@@ -164,11 +275,14 @@ func TestCoalescerPerRequestK(t *testing.T) {
 	f := newFixture(classes, d, probes, 4)
 	eng := infer.New(infer.NewFloatBackend(f.phi, f.labels, 1))
 	want := eng.Query(infer.DenseBatch(f.dense), classes)
-	co := NewCoalescer(eng, Config{MaxBatch: probes, MaxDelay: 100 * time.Millisecond})
+	// One slot, held by probe 0: probes 1..5 share the next batch.
+	g := newGateQuerier(eng)
+	co := NewCoalescer(g, Config{MaxBatch: probes, MaxInFlight: 1})
 	defer co.Close()
+	held := holdSlot(co, g, f.dense.Row(0))
 
 	var wg sync.WaitGroup
-	for p := 0; p < probes; p++ {
+	for p := 1; p < probes; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
@@ -190,7 +304,15 @@ func TestCoalescerPerRequestK(t *testing.T) {
 			}
 		}(p)
 	}
+	waitAdmitted(t, co, probes)
+	g.open()
 	wg.Wait()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if s := co.Stats(); s.LargestBatch != probes-1 {
+		t.Fatalf("the %d probes behind the held slot did not share a batch: %+v", probes-1, s)
+	}
 }
 
 // Bad probes are rejected at admission with ErrBadProbe naming the
@@ -228,63 +350,77 @@ func TestCoalescerProbeValidation(t *testing.T) {
 }
 
 // After Close, Classify fails with ErrClosed; probes admitted before
-// Close still get answers (drain flush).
+// Close still get answers — those the loop finds still queued when it
+// sees the closed channel go out as the drain flush.
 func TestCoalescerCloseDrainsAndRejects(t *testing.T) {
-	const classes, d = 7, 64
-	f := newFixture(classes, d, 4, 6)
-	eng := infer.New(infer.NewFloatBackend(f.phi, f.labels, 1))
-	co := NewCoalescer(eng, Config{MaxBatch: 1024, MaxDelay: time.Hour})
+	const classes, d, probes = 7, 64, 6
+	f := newFixture(classes, d, probes, 6)
+	g := newGateQuerier(infer.New(infer.NewFloatBackend(f.phi, f.labels, 1)))
+	// MaxBatch 2 with five probes behind the held slot: the loop blocks on
+	// the slot with a full pending batch and three queued, so Close lands
+	// before any of them runs and the flush order is fixed: 2 | 2 | 1,
+	// the last one picked up together with the channel's close.
+	co := NewCoalescer(g, Config{MaxBatch: 2, MaxInFlight: 1})
 
-	var wg sync.WaitGroup
-	got := make([]error, 4)
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			_, got[p] = co.Classify(context.Background(), Probe{Dense: f.dense.Row(p)}, 1)
-		}(p)
-	}
-	// Give the callers time to enqueue, then close: the drain flush must
-	// answer all four.
-	time.Sleep(50 * time.Millisecond)
-	co.Close()
-	wg.Wait()
-	for p, err := range got {
-		if err != nil {
-			t.Fatalf("pre-close probe %d: %v", p, err)
-		}
-	}
+	held := holdSlot(co, g, f.dense.Row(0))
+	wait := classifyAll(co, f.dense, 1, probes-1)
+	waitAdmitted(t, co, probes)
+
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		co.Close()
+	}()
+	waitFor(t, "Close to stop admission", func() bool {
+		co.mu.RLock()
+		defer co.mu.RUnlock()
+		return co.closed
+	})
 	if _, err := co.Classify(context.Background(), Probe{Dense: f.dense.Row(0)}, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close Classify err = %v, want ErrClosed", err)
 	}
-	if s := co.Stats(); s.DrainFlushes != 1 {
-		t.Fatalf("drain flushes = %d, want 1 (%+v)", s.DrainFlushes, s)
+	g.open()
+	<-closed // Close returns only after every pending batch has executed
+	if err := wait(); err != nil {
+		t.Fatalf("pre-close %v", err)
+	}
+	if err := <-held; err != nil {
+		t.Fatalf("in-flight probe: %v", err)
+	}
+	if s := co.Stats(); s.DrainFlushes != 1 || s.FullFlushes != 2 || s.Batches != 4 {
+		t.Fatalf("want batches 1 | 2 | 2 | 1 with the last a drain flush, got %+v", s)
 	}
 	co.Close() // idempotent
 }
 
-// A caller whose context expires while waiting unblocks with the
-// context's error; the batch still executes for everyone else.
+// A caller whose context expires while its probe waits for a slot
+// unblocks with the context's error, before the batch runs; the
+// coalescer keeps serving everyone else.
 func TestCoalescerContextCancellation(t *testing.T) {
 	const classes, d = 7, 64
-	f := newFixture(classes, d, 2, 7)
-	eng := infer.New(infer.NewFloatBackend(f.phi, f.labels, 1))
-	co := NewCoalescer(eng, Config{MaxBatch: 1024, MaxDelay: 200 * time.Millisecond})
+	f := newFixture(classes, d, 3, 7)
+	g := newGateQuerier(infer.New(infer.NewFloatBackend(f.phi, f.labels, 1)))
+	co := NewCoalescer(g, Config{MaxBatch: 1024, MaxInFlight: 1})
 	defer co.Close()
 
+	held := holdSlot(co, g, f.dense.Row(0))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := co.Classify(ctx, Probe{Dense: f.dense.Row(0)}, 1)
+		_, err := co.Classify(ctx, Probe{Dense: f.dense.Row(1)}, 1)
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitAdmitted(t, co, 2)
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Classify err = %v, want context.Canceled", err)
 	}
+	g.open()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
 	// An uncancelled caller on the same coalescer still gets served.
-	if _, err := co.Classify(context.Background(), Probe{Dense: f.dense.Row(1)}, 1); err != nil {
+	if _, err := co.Classify(context.Background(), Probe{Dense: f.dense.Row(2)}, 1); err != nil {
 		t.Fatalf("follow-up Classify: %v", err)
 	}
 }

@@ -41,7 +41,7 @@ go build -o "$tmp/hdcload" ./cmd/hdcload
   -backends binary \
   -embedder=false \
   -classes 128 -d 1024 -seed 1 \
-  -max-batch 32 -max-delay 2ms \
+  -max-batch 32 \
   2>"$tmp/serve.log" &
 pid=$!
 
