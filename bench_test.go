@@ -142,8 +142,8 @@ func BenchmarkPhaseIIIStep(b *testing.B) {
 	}
 }
 
-// BenchmarkDimensionAblation regenerates the HDC design-choice ablation
-// (DESIGN.md): nearest-prototype accuracy and codebook storage across the
+// BenchmarkDimensionAblation regenerates the HDC design-choice ablation:
+// nearest-prototype accuracy and codebook storage across the
 // hypervector-dimension sweep, factored (g ⊙ v) vs materialized vectors.
 func BenchmarkDimensionAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -362,7 +362,7 @@ func BenchmarkDistScatterGather(b *testing.B) {
 	}
 }
 
-// --- End-to-end pipeline benchmark (nn Infer + internal/infer). ---
+// --- End-to-end pipeline benchmark (nn.CompiledNet + internal/infer). ---
 
 // BenchmarkEndToEndClassify measures the full embed+readout path at
 // ResNet-embedding scale — 128 raw 16×16 images through a frozen micro
@@ -441,22 +441,14 @@ func BenchmarkEndToEndClassify(b *testing.B) {
 	})
 }
 
-// BenchmarkCompiledInfer isolates the frozen-graph compiler's win on
-// the embedding hot path: the same batch-32 encoder call, layer-by-
-// layer stateless Infer vs the compiled plan (BN folded, epilogues
-// fused, zero-alloc buffer schedule). Archived in BENCH_pr5.json.
+// BenchmarkCompiledInfer times the frozen-graph compiler's plan (BN
+// folded, epilogues fused, zero-alloc buffer schedule) on the embedding
+// hot path's batch-32 encoder call. Archived in BENCH_pr5.json.
 func BenchmarkCompiledInfer(b *testing.B) {
 	const d, img = 1536, 16
 	rng := rand.New(rand.NewSource(13))
 	enc := core.NewImageEncoder(rng, nn.MicroResNet50Config(8), d)
 	x := tensor.Randn(rng, 1, 32, 3, img, img)
-	b.Run("layers", func(b *testing.B) {
-		sc := nn.NewScratch()
-		for i := 0; i < b.N; i++ {
-			sc.Reset()
-			enc.Infer(x, sc)
-		}
-	})
 	b.Run("compiled", func(b *testing.B) {
 		cn := enc.Compiled()
 		sc := nn.NewScratch()

@@ -25,15 +25,15 @@
 //
 // The process also serves end to end: a frozen ResNet image encoder
 // (the paper's γ at laptop scale) is registered as an embedder and run
-// through the stateless nn Infer path, so POST /v1/embed-classify
-// accepts raw image tensors and classifies them against any backend —
-// no client-side embedding required. One shared frozen network serves
-// every in-flight request concurrently. With -precision both (the
-// default) the encoder is additionally served through its quantized
-// int8 compiled plan as "resnet-int8": same frozen weights, per-channel
-// symmetric int8 GEMMs, activations int8 between plan steps (see
-// nn.CompileQuantized) — the software twin of the paper's low-precision
-// deployment story.
+// through its compiled frozen-graph plan (nn.CompiledNet), so POST
+// /v1/embed-classify accepts raw image tensors and classifies them
+// against any backend — no client-side embedding required. One shared
+// plan serves every in-flight request concurrently. With -precision
+// both (the default) the encoder is additionally served through its
+// quantized int8 compiled plan as "resnet-int8": same frozen weights,
+// per-channel symmetric int8 GEMMs, activations int8 between plan steps
+// (see nn.CompileQuantized) — the software twin of the paper's
+// low-precision deployment story.
 //
 // Live enrollment: POST /v1/enroll appends a class to the serving
 // memory without a restart. Locally the class memory is an

@@ -7,9 +7,12 @@
 // batched inference engine (internal/infer), a micro-batching HTTP layer
 // (internal/serve, cmd/hdcserve), and a frozen-graph inference compiler
 // (nn.CompiledNet — BatchNorm folding, fused GEMM epilogues, plan-level
-// buffer scheduling), which is the serving entry point for neural
-// embedders. The compiler also lowers frozen nets to calibrated int8
-// plans (nn.CompileQuantized — per-channel symmetric scales, packed
+// buffer scheduling), which is the one way a frozen net runs: every
+// served embedding and every evaluation readout goes through a compiled
+// plan, while layer Forward stays the training path and the parity
+// oracle the plans are tested against. The compiler also lowers frozen
+// nets to calibrated int8 plans (nn.CompileQuantized — per-channel
+// symmetric scales, packed
 // int8 GEMM with fused dequant/requant epilogues, int8 activations
 // between steps), served beside f32 via hdcserve -precision int8.
 //
@@ -28,6 +31,5 @@
 // allocation-free functions, //hdc:coldpath marks deliberate slow
 // branches, //hdc:allow <analyzer> <reason> suppresses a finding with a
 // mandatory justification. See README.md ("Correctness tooling") for
-// the contract list, README.md for a tour, and DESIGN.md for the
-// system inventory and substitution rationale.
+// the contract list and README.md for a tour.
 package repro

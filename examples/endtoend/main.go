@@ -1,9 +1,9 @@
-// End-to-end serving: the compiled frozen-graph inference path. PR 3's
-// stateless Infer let one frozen backbone be shared by any number of
-// goroutines; PR 5 compiles that frozen graph into an execution plan —
-// BatchNorms folded into conv weights, bias/ReLU/residual adds fused
-// into the GEMM write-back, activation buffers pre-scheduled into one
-// arena reservation (nn.CompiledNet). This example runs RAW images
+// End-to-end serving: the compiled frozen-graph inference path. A frozen
+// graph compiles into an execution plan — BatchNorms folded into conv
+// weights, bias/ReLU/residual adds fused into the GEMM write-back,
+// activation buffers pre-scheduled into one arena reservation
+// (nn.CompiledNet) — that any number of goroutines can share, each with
+// its own nn.Scratch. This example runs RAW images
 // through one compiled encoder shared by many concurrent workers (each
 // with its own nn.Scratch), feeds the embeddings to the engine readout,
 // and verifies the concurrent predictions match the serial eval-Forward

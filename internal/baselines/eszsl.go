@@ -4,8 +4,7 @@
 // a simplified generative feature-synthesis pipeline standing in for the
 // GAN-based models of Fig. 4, and a TCN-like contrastive network. Each
 // file documents how the reproduction simplifies the original system and
-// why the simplification preserves the comparison the paper makes (see
-// also DESIGN.md §1).
+// why the simplification preserves the comparison the paper makes.
 package baselines
 
 import (

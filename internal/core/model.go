@@ -70,19 +70,6 @@ func (e *ImageEncoder) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return emb
 }
 
-// Infer computes γ(x) on a frozen encoder without touching any layer
-// state: the shared-read path of the evaluation pipeline and the
-// serving layer, safe for any number of goroutines sharing one encoder
-// (each brings its own nn.Scratch). Bitwise identical to
-// Forward(x, false).
-func (e *ImageEncoder) Infer(x *tensor.Tensor, s *nn.Scratch) *tensor.Tensor {
-	emb := e.Backbone.Infer(x, s)
-	if e.Proj != nil {
-		emb = e.Proj.Infer(emb, s)
-	}
-	return emb
-}
-
 // CompileChain describes γ to the frozen-graph compiler (nn.Compile)
 // as its ordered layer chain: backbone, then the optional projection.
 func (e *ImageEncoder) CompileChain() []nn.Layer {
@@ -95,12 +82,12 @@ func (e *ImageEncoder) CompileChain() []nn.Layer {
 // Compiled returns the encoder's frozen inference plan: BatchNorms
 // folded into conv weights, bias/ReLU/residual adds fused into GEMM
 // write-backs, buffers pre-scheduled (see nn.CompiledNet). It is the
-// serving and evaluation readout path; plans build lazily per input
-// geometry and refold automatically when parameters change (optimizer
-// steps, LoadParams). Unlike Infer — which stays bitwise equal to
-// Forward(x, false) — the compiled path matches Forward only within
-// the BN-folding rounding tolerance, while remaining bitwise
-// deterministic across worker counts itself.
+// serving and evaluation readout path, safe for any number of
+// goroutines sharing one encoder (each brings its own nn.Scratch);
+// plans build lazily per input geometry and refold automatically when
+// parameters change (optimizer steps, LoadParams). The plan matches
+// Forward(x, false) only within the BN-folding rounding tolerance,
+// while remaining bitwise deterministic across worker counts itself.
 func (e *ImageEncoder) Compiled() *nn.CompiledNet {
 	e.compileOnce.Do(func() { e.compiled = nn.MustCompile(e) })
 	return e.compiled

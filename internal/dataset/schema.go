@@ -3,8 +3,9 @@
 // CUB-200-2011 with the paper's exact attribute topology (α=312 attribute
 // group/value combinations over G=28 groups and V=61 unique values), and
 // SynthImageNet, a generic classification dataset for phase-I
-// pre-training. See DESIGN.md §1 for why these substitutions preserve the
-// behaviour the experiments measure.
+// pre-training. The substitutions keep what the experiments measure: the
+// attribute topology, and therefore the HDC codebook sizes and the
+// memory arithmetic, is CUB's exactly.
 package dataset
 
 import "fmt"
@@ -120,7 +121,7 @@ var bodyShapeNew = []string{
 // length 3, wing shape 5, size 5, body shape 14). Seven generic
 // descriptors are reused inside the body-shape group so that the shared
 // value vocabulary has exactly V=61 entries, the count the paper's memory
-// arithmetic assumes (see DESIGN.md).
+// arithmetic assumes.
 func NewCUBSchema() *Schema {
 	s := &Schema{}
 	valueIdx := map[string]int{}

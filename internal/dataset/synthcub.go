@@ -8,8 +8,9 @@ import (
 )
 
 // Config controls SynthCUB generation. The defaults used by the
-// experiment harness are intentionally small (see DESIGN.md §6): the
-// shape of the paper's results is reproduced at laptop scale.
+// experiment harness are intentionally small, so every table and figure
+// regenerates on a CPU: the shape of the paper's results is reproduced
+// at laptop scale.
 type Config struct {
 	// NumClasses is the number of bird species to synthesize (CUB has 200).
 	NumClasses int

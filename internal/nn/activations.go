@@ -18,35 +18,19 @@ func NewReLU() *ReLU { return &ReLU{} }
 // for Backward only in training mode (eval retains nothing).
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
-	if !train {
-		r.mask = nil
-		reluInto(out, x)
-		return out
+	r.mask = nil
+	if train {
+		r.mask = make([]bool, x.Len())
 	}
-	r.mask = make([]bool, x.Len())
 	for i, v := range x.Data {
 		if v > 0 {
 			out.Data[i] = v
-			r.mask[i] = true
+			if train {
+				r.mask[i] = true
+			}
 		}
 	}
 	return out
-}
-
-// Infer zeroes negative activations without touching layer state.
-func (r *ReLU) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
-	out := s.AllocLike(x)
-	reluInto(out, x)
-	return out
-}
-
-// reluInto writes max(0, x) into the pre-zeroed out.
-func reluInto(out, x *tensor.Tensor) {
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
-	}
 }
 
 // Backward gates the incoming gradient by the forward mask.
@@ -116,10 +100,6 @@ func (d *Dropout) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// Infer passes the input through unchanged (dropout is inactive at
-// inference, exactly like Forward in eval mode).
-func (d *Dropout) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor { return x }
-
 // Params returns nil; Dropout has no parameters.
 func (d *Dropout) Params() []*Param { return nil }
 
@@ -145,13 +125,6 @@ func (f *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		panic("nn.Flatten: Backward called before Forward")
 	}
 	return dout.Reshape(f.inShape...)
-}
-
-// Infer flattens all but the batch dimension without touching layer
-// state; the result is an arena-backed reshaped view sharing x's data.
-func (f *Flatten) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
-	n := x.Dim(0)
-	return s.View(x, n, x.Len()/n)
 }
 
 // Params returns nil; Flatten has no parameters.

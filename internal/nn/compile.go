@@ -9,10 +9,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Frozen inference-graph compiler.
+// Frozen inference-graph compiler — the one inference path.
 //
-// The layer-by-layer Infer path is already stateless and zero-alloc,
-// but it still executes the graph the way it was trained: each ResNet
+// Layer.Forward executes the graph the way it was trained: each ResNet
 // block makes a conv GEMM pass, a BatchNorm pass, a ReLU pass and a
 // residual-add pass over its activation tensor, and all but the first
 // are pure memory traffic. Compile walks a frozen network once and
@@ -151,7 +150,7 @@ func scanCompilable(l Layer) ([]*BatchNorm2D, error) {
 				}
 			}
 		default:
-			return fmt.Errorf("nn.Compile: layer %T has no lowering; teach compile.go about it or serve it through the layer Infer path", l)
+			return fmt.Errorf("nn.Compile: layer %T has no lowering; teach compile.go about it", l)
 		}
 		return nil
 	}
@@ -196,8 +195,8 @@ func (c *CompiledNet) fresh(fp []uint64) bool {
 
 // Infer runs the compiled plan for x's geometry, refolding first if the
 // network changed since the plan was built. The output tensor is
-// scratch-backed (valid until s.Reset) like every layer Infer; with a
-// warm Scratch and a built plan the call allocates nothing.
+// scratch-backed (valid until s.Reset); with a warm Scratch and a built
+// plan the call allocates nothing.
 //hdc:hotpath
 func (c *CompiledNet) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	var key planKey
@@ -235,10 +234,9 @@ func (c *CompiledNet) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 
 // Precompile builds (and caches) the plan for one per-sample input
 // shape — [C, H, W] for image nets, [d] for flat nets — returning the
-// lowering error instead of panicking. Callers that auto-compile
-// user-supplied graphs (serve.NewNetEmbedder) use it to fall back to
-// the layer Infer path at registration time rather than panicking on
-// the first request; it also warms the plan before traffic arrives.
+// lowering error instead of panicking. Servers call it at start-up, so a
+// graph the compiler cannot lower fails there rather than on the first
+// request, and the plan is warm before traffic arrives.
 func (c *CompiledNet) Precompile(sampleShape ...int) error {
 	var key planKey
 	switch len(sampleShape) {
@@ -429,7 +427,7 @@ func (o *opConv) run(p *plan, slab, x []float32, n int, s *Scratch) {
 
 // im2col writes the full batched patch matrix [inC·kH·kW, N·oh·ow],
 // including zeros at padded positions — a full overwrite, so the
-// workspace needs no pre-clearing. The values match Conv2D.im2colInto
+// workspace needs no pre-clearing. The values match Conv2D.im2col
 // exactly; only the column order differs with the CNHW batch layout.
 func (o *opConv) im2col(dst, x []float32, n int) {
 	im2colCNHW(dst, x, n, o.inC, o.kH, o.kW, o.stride, o.pad, o.ih, o.iw, o.oh, o.ow, o.inNCHW)

@@ -33,6 +33,22 @@ func requireClose(t *testing.T, name string, got, want *tensor.Tensor, relTol fl
 	}
 }
 
+// requireBitwiseEqual fails unless a and b carry identical float32 bit
+// patterns (not just "close").
+func requireBitwiseEqual(t *testing.T, name string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %v, want %v", name, got.Shape(), want.Shape())
+	}
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("%s: element %d differs: got %v (bits %#x) vs want %v (bits %#x)",
+				name, i, got.Data[i], math.Float32bits(got.Data[i]),
+				want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+}
+
 // compileCase is one compilable network with a matching input.
 type compileCase struct {
 	name  string
@@ -44,7 +60,7 @@ type compileCase struct {
 // fuses — bottleneck and basic blocks, stride-2 downsamples, 1×1
 // projection shortcuts, identity shortcuts, flatten and avg-pool heads —
 // plus MLP chains and standalone fusion seams (conv+bn+relu, affine
-// fallbacks).
+// fallbacks). Each layer type lowered on its own is inferParityCases'.
 func compileParityCases() []compileCase {
 	rng := rand.New(rand.NewSource(77))
 	perturbBN := func(bn *BatchNorm2D) *BatchNorm2D {
@@ -295,6 +311,51 @@ func TestCompiledInvalidation(t *testing.T) {
 	requireClose(t, "post-state-restore", cn.Infer(x, s), net.Forward(x, false), 1e-4)
 }
 
+// TestLinearPackedWeightInvalidation pins the cache-coherence contract
+// of the pre-packed weight panel a compiled Linear reads: an optimizer
+// step and a direct Value write announced by BumpVersion must each reach
+// the output, which for a BN-free net stays bitwise equal to Forward.
+func TestLinearPackedWeightInvalidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	fc := NewLinear(rng, "fc1", 12, 16, true)
+	mlp := NewSequential(fc, NewReLU(), NewLinear(rng, "fc2", 16, 7, false))
+	x := tensor.Randn(rng, 1, 3, 12)
+	cn := MustCompile(mlp)
+	prev := cn.Infer(x, NewScratch()).Clone()
+	for _, mutate := range []struct {
+		name  string
+		apply func()
+	}{
+		{"sgd-step", func() {
+			for i := range fc.W.Grad.Data {
+				fc.W.Grad.Data[i] = 0.5
+			}
+			NewSGD(0.1, 0, 0).Step(mlp.Params())
+		}},
+		{"bump-version", func() {
+			for i := range fc.W.Value.Data {
+				fc.W.Value.Data[i] += 0.25
+			}
+			fc.W.BumpVersion()
+		}},
+	} {
+		mutate.apply()
+		got := cn.Infer(x, NewScratch()).Clone()
+		requireBitwiseEqual(t, mutate.name, got, mlp.Forward(x, false))
+		changed := false
+		for i := range got.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(prev.Data[i]) {
+				changed = true
+				break
+			}
+		}
+		if !changed {
+			t.Fatalf("%s did not change the compiled output: stale packed weight panel served", mutate.name)
+		}
+		prev = got
+	}
+}
+
 // TestCompiledSharedConcurrent is the -race stress: one CompiledNet
 // shared by many goroutines (spanning a refold triggered mid-flight by
 // a version bump between rounds), every result bitwise equal to the
@@ -333,36 +394,56 @@ func TestCompiledSharedConcurrent(t *testing.T) {
 	}
 }
 
-// TestCompiledInferZeroAlloc pins the plan-level scheduling contract:
-// with a warm Scratch and a built plan, CompiledNet.Infer allocates
-// NOTHING — the whole activation footprint is one pre-sized arena
-// reservation with compiler-assigned offsets.
-func TestCompiledInferZeroAlloc(t *testing.T) {
+// requireInferZeroAlloc pins the plan-level scheduling contract: with a
+// warm Scratch and a built plan, CompiledNet.Infer allocates NOTHING —
+// the whole activation footprint is one pre-sized arena reservation with
+// compiler-assigned offsets, GEMM panels and packed weights included.
+func requireInferZeroAlloc(t *testing.T, name string, net Layer, x *tensor.Tensor) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc guard runs in non-race CI")
 	}
-	rng := rand.New(rand.NewSource(21))
+	cn := MustCompile(net)
+	sc := NewScratch()
+	for i := 0; i < 2; i++ { // build the plan, size and coalesce the arena
+		sc.Reset()
+		cn.Infer(x, sc)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		sc.Reset()
+		cn.Infer(x, sc)
+	})
+	if avg != 0 {
+		t.Fatalf("%s: CompiledNet.Infer allocates %.1f objects per call, want 0", name, avg)
+	}
+}
+
+// TestResNetInferZeroAlloc holds a bare ResNet, with either head, to the
+// zero-allocation contract.
+func TestResNetInferZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
 	for _, cfg := range []ResNetConfig{
 		MicroResNet50Config(4),
 		MicroResNet50Config(4).WithFlatten(16, 16),
 	} {
-		net := NewResNet(rng, cfg)
-		cn := MustCompile(net)
-		x := tensor.Randn(rng, 1, 2, 3, 16, 16)
-		sc := NewScratch()
-		for i := 0; i < 2; i++ { // build the plan, size and coalesce the arena
-			sc.Reset()
-			cn.Infer(x, sc)
-		}
-		avg := testing.AllocsPerRun(20, func() {
-			sc.Reset()
-			cn.Infer(x, sc)
-		})
-		if avg != 0 {
-			t.Fatalf("%s (flatten=%v): CompiledNet.Infer allocates %.1f objects per call, want 0",
-				cfg.Name, cfg.FlattenPool, avg)
-		}
+		requireInferZeroAlloc(t, cfg.Name, NewResNet(rng, cfg), tensor.Randn(rng, 1, 2, 3, 16, 16))
 	}
+}
+
+// TestLinearInferZeroAlloc holds a lone projection layer to the same
+// contract.
+func TestLinearInferZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	requireInferZeroAlloc(t, "linear", NewLinear(rng, "fc", 256, 128, true), tensor.Randn(rng, 1, 32, 256))
+}
+
+// TestCompiledInferZeroAlloc holds the serving embedder's shape — a
+// ResNet followed by a Linear projection — to the same contract.
+func TestCompiledInferZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	cfg := MicroResNet50Config(4)
+	net := NewSequential(NewResNet(rng, cfg), NewLinear(rng, "proj", cfg.OutDim(), 96, true))
+	requireInferZeroAlloc(t, "projected", net, tensor.Randn(rng, 1, 2, 3, 16, 16))
 }
 
 // TestCompileRejectsUnsupported pins the compile-time error path.

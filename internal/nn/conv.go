@@ -55,29 +55,15 @@ func (c *Conv2D) OutSize(h, w int) (int, int) {
 
 // im2col unpacks the receptive fields of one sample into a matrix of shape
 // [inC·kH·kW, outH·outW]; column j holds the patch that produces output
-// pixel j.
+// pixel j. Padded positions keep the fresh matrix's zeros.
 func (c *Conv2D) im2col(x *tensor.Tensor, n, h, w, oh, ow int) *tensor.Tensor {
 	col := tensor.New(c.inC*c.kH*c.kW, oh*ow)
-	c.im2colInto(col.Data, oh*ow, 0, x, n, h, w, oh, ow)
-	return col
-}
-
-// im2colInto is im2col writing into a caller-owned buffer, which must be
-// zero-filled (padded positions are skipped, not written). rowStride and
-// colOff place the sample's columns inside a wider matrix: row r of the
-// patch matrix lands at dst[r*rowStride+colOff:], which is how the
-// batched inference path builds one [k, N·oh·ow] matrix from N samples
-// (per-sample matrices use rowStride=oh·ow, colOff=0). It reads only
-// layer geometry, never mutable state, so the stateless inference path
-// shares it.
-//hdc:hotpath
-func (c *Conv2D) im2colInto(dst []float32, rowStride, colOff int, x *tensor.Tensor, n, h, w, oh, ow int) {
 	xoff := n * c.inC * h * w
 	for ic := 0; ic < c.inC; ic++ {
 		chanOff := xoff + ic*h*w
 		for ky := 0; ky < c.kH; ky++ {
 			for kx := 0; kx < c.kW; kx++ {
-				rowOff := ((ic*c.kH+ky)*c.kW+kx)*rowStride + colOff
+				rowOff := ((ic*c.kH+ky)*c.kW + kx) * oh * ow
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*c.stride + ky - c.pad
 					if iy < 0 || iy >= h {
@@ -90,12 +76,13 @@ func (c *Conv2D) im2colInto(dst []float32, rowStride, colOff int, x *tensor.Tens
 						if ix < 0 || ix >= w {
 							continue
 						}
-						dst[dstRow+ox] = x.Data[srcRow+ix]
+						col.Data[dstRow+ox] = x.Data[srcRow+ix]
 					}
 				}
 			}
 		}
 	}
+	return col
 }
 
 // col2im scatters gradient columns back into an input-gradient tensor,
@@ -152,66 +139,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		dst := out.Data[i*c.outC*oh*ow : (i+1)*c.outC*oh*ow]
 		copy(dst, y.Data)
 		c.addBias(dst, oh, ow)
-	}
-	return out
-}
-
-// Infer computes the convolution without touching layer state, via two
-// fast paths over the packed GEMM:
-//
-//   - 1×1 stride-1 unpadded convolutions skip im2col entirely — each
-//     sample's raw input planes [inC, H·W] ARE the patch matrix, so the
-//     GEMM runs straight off the input with the channel bias fused into
-//     its epilogue and writes directly into the output planes.
-//   - Everything else builds ONE batched [inC·kH·kW, N·oh·ow] im2col
-//     matrix (single zero-fill, N strided scatter passes) and runs ONE
-//     GEMM over the whole batch, amortizing the weight-panel packing
-//     across every sample, then scatters the [outC, N·oh·ow] product
-//     into NCHW order.
-//
-// Both paths are bitwise identical to Forward(x, false): per output
-// element the kernel accumulates the same products in the same k order
-// regardless of how samples are batched, and the fused bias adds after
-// the complete accumulation exactly like addBias.
-func (c *Conv2D) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
-	n, h, w, oh, ow := c.checkIn(x)
-	out := s.Alloc(n, c.outC, oh, ow)
-	o := s.GemmOpts()
-	if c.B != nil {
-		o.RowBias = c.B.Value.Data
-	}
-	if c.kH == 1 && c.kW == 1 && c.stride == 1 && c.pad == 0 {
-		// 1×1 fast path: per-sample GEMM on the raw input planes.
-		plane := c.outC * oh * ow
-		inPlane := c.inC * h * w
-		for i := 0; i < n; i++ {
-			tensor.GemmSlices(out.Data[i*plane:(i+1)*plane],
-				c.W.Value.Data, x.Data[i*inPlane:(i+1)*inPlane],
-				c.outC, c.inC, h*w, o)
-		}
-		return out
-	}
-
-	// Batched im2col: one [k, N·oh·ow] matrix, one GEMM, one scatter.
-	k := c.inC * c.kH * c.kW
-	ohow := oh * ow
-	cols := s.Alloc(k, n*ohow)
-	for i := 0; i < n; i++ {
-		c.im2colInto(cols.Data, n*ohow, i*ohow, x, i, h, w, oh, ow)
-	}
-	if n == 1 {
-		// Single sample: the GEMM result [outC, oh·ow] IS the output plane
-		// layout — run it straight into out, no staging buffer, no scatter.
-		tensor.GemmSlices(out.Data, c.W.Value.Data, cols.Data, c.outC, k, ohow, o)
-		return out
-	}
-	y := s.Alloc(c.outC, n*ohow)
-	tensor.GemmInto(y, c.W.Value, cols, o)
-	for i := 0; i < n; i++ {
-		for oc := 0; oc < c.outC; oc++ {
-			copy(out.Data[(i*c.outC+oc)*ohow:(i*c.outC+oc+1)*ohow],
-				y.Data[oc*n*ohow+i*ohow:oc*n*ohow+(i+1)*ohow])
-		}
 	}
 	return out
 }

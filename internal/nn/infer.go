@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/tensor"
@@ -11,25 +10,11 @@ import (
 //
 // Layer.Forward mutates the layer even in eval mode — it may cache
 // activations for Backward — so one network cannot be shared across
-// goroutines through Forward. Infer is the shared-read alternative: a
-// frozen network is a read-only object, and everything a call needs to
-// write (activations, im2col workspace) lives in a per-call Scratch the
-// caller threads through. Any number of goroutines may Infer on one
-// network concurrently, each with its own Scratch.
-//
-// Contract for layer authors:
-//
-//   - Infer(x, s) must not write ANY layer field — parameters, running
-//     statistics, and configuration are read-only.
-//   - Output and intermediate tensors come from s.Alloc; they remain
-//     valid until the Scratch is Reset or returned to the pool. Callers
-//     that need the output to outlive the Scratch must Clone it.
-//   - Infer(x, s) must be bitwise identical to Forward(x, false) on the
-//     same frozen layer (pinned by TestInferForwardParity). Keep the
-//     arithmetic — loop order, accumulation width — in lockstep with the
-//     eval branch of Forward.
-//   - Infer must not Reset the Scratch; one scratch serves a whole
-//     network pass, and the top-level caller owns its lifecycle.
+// goroutines through Forward. A frozen network is served instead through
+// its compiled plan (CompiledNet), a read-only object: everything a call
+// needs to write (activations, im2col workspace, GEMM panels) lives in a
+// per-call Scratch the caller threads through. Any number of goroutines
+// may Infer on one plan concurrently, each with its own Scratch.
 
 // Scratch is the per-call workspace of the stateless inference path: an
 // arena for activation and im2col buffers plus the matmul worker budget.
@@ -38,10 +23,10 @@ import (
 type Scratch struct {
 	arena tensor.Arena
 	// gemm owns the GEMM packing panels (tensor.GemmBuf): grown once,
-	// reused by every layer matmul this scratch drives, zero steady-state
+	// reused by every plan step this scratch drives, zero steady-state
 	// allocations.
 	gemm tensor.GemmBuf
-	// Workers is the worker budget layer matmuls may fan out over
+	// Workers is the worker budget plan GEMMs may fan out over
 	// (tensor.GemmOpts.Workers). It defaults to 1 — callers that already
 	// parallelize across batches (the evaluation pipeline, the serving
 	// layer under load) keep per-call compute serial; latency-sensitive
@@ -52,17 +37,6 @@ type Scratch struct {
 
 // NewScratch returns an empty scratch with a serial worker budget.
 func NewScratch() *Scratch { return &Scratch{Workers: 1} }
-
-// Alloc returns a zero-filled arena tensor valid until Reset.
-func (s *Scratch) Alloc(shape ...int) *tensor.Tensor { return s.arena.Alloc(shape...) }
-
-// AllocLike returns a zero-filled arena tensor shaped like ref.
-func (s *Scratch) AllocLike(ref *tensor.Tensor) *tensor.Tensor { return s.arena.AllocLike(ref) }
-
-// View returns an arena-backed reshape view over src's data.
-func (s *Scratch) View(src *tensor.Tensor, shape ...int) *tensor.Tensor {
-	return s.arena.View(src, shape...)
-}
 
 // Grab returns an UNINITIALIZED float32 slice carved from the arena,
 // valid until Reset. The compiled inference plan (CompiledNet) reserves
@@ -79,7 +53,7 @@ func (s *Scratch) Wrap(data []float32, shape ...int) *tensor.Tensor {
 	return s.arena.Wrap(data, shape...)
 }
 
-// GemmOpts returns the scratch-backed GEMM options layer matmuls use:
+// GemmOpts returns the scratch-backed GEMM options the f32 plan ops use:
 // this scratch's packing workspace and worker budget.
 func (s *Scratch) GemmOpts() tensor.GemmOpts {
 	return tensor.GemmOpts{Workers: s.workers(), Buf: &s.gemm}
@@ -118,40 +92,10 @@ func PutScratch(s *Scratch) {
 }
 
 // Inferer is the stateless inference contract (see the package comment
-// above): a frozen layer that computes its eval-mode forward pass
-// without mutating itself, allocating from the caller's Scratch. Every
-// layer in this package implements it.
+// above): a frozen network that computes its eval-mode forward pass
+// without mutating itself, allocating from the caller's Scratch. The
+// output is scratch-backed and valid until the Scratch is Reset.
+// *CompiledNet implements it.
 type Inferer interface {
 	Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor
-}
-
-// InferDetached runs one stateless forward pass through l with a pooled
-// Scratch and returns a caller-owned copy of the output — the
-// convenience entry point for callers that don't manage scratch reuse
-// themselves (one-shot embeddings, tests).
-func InferDetached(l Inferer, x *tensor.Tensor) *tensor.Tensor {
-	s := GetScratch()
-	y := l.Infer(x, s).Clone()
-	PutScratch(s)
-	return y
-}
-
-// asInferer asserts that a composed child layer implements the
-// inference path, with an error message that points layer authors at
-// the contract.
-func asInferer(l Layer) Inferer {
-	inf, ok := l.(Inferer)
-	if !ok {
-		panic(fmt.Sprintf(
-			"nn: layer %T implements Forward but not Infer; stateless inference requires every layer to implement Infer(x, *Scratch) — see the contract in nn/infer.go", l))
-	}
-	return inf
-}
-
-// Infer runs the chain statelessly in order.
-func (s *Sequential) Infer(x *tensor.Tensor, sc *Scratch) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = asInferer(l).Infer(x, sc)
-	}
-	return x
 }

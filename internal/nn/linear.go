@@ -17,11 +17,11 @@ type Linear struct {
 	out  int
 
 	// packed caches W in the GEMM column-panel layout keyed by W's
-	// version, so Infer never re-reads the weight matrix column-strided.
-	// It is the one permitted "write" in Infer: an atomically-published
-	// cache of a pure function of W, safe under concurrent shared-read
-	// inference and invalidated whenever W's version moves (optimizer
-	// steps, checkpoint loads — see Param.BumpVersion).
+	// version. Compiled plans read it when they lower this layer, so the
+	// f32 and int8 plans of one network share a single packed panel. It
+	// is an atomically-published cache of a pure function of W, safe
+	// under concurrent plan builds and invalidated whenever W's version
+	// moves (optimizer steps, checkpoint loads — see Param.BumpVersion).
 	packed atomic.Pointer[packedWeight]
 }
 
@@ -80,24 +80,6 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if l.B != nil {
 		y = tensor.AddRowVector(y, l.B.Value)
 	}
-	return y
-}
-
-// Infer computes x·W (+ b) without touching mutable layer state: the
-// GEMM consumes the cached pre-packed weight panel (skipping the
-// column-strided re-pack of W every call) and folds the bias into the
-// epilogue. Bitwise identical to Forward(x, false) — packing is pure
-// data movement and the fused bias adds after each element's complete
-// accumulation, exactly like the separate bias pass.
-func (l *Linear) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
-	l.checkIn(x)
-	y := s.Alloc(x.Dim(0), l.out)
-	o := s.GemmOpts()
-	o.PB = l.packedW()
-	if l.B != nil {
-		o.ColBias = l.B.Value.Data
-	}
-	tensor.GemmInto(y, x, nil, o)
 	return y
 }
 

@@ -177,6 +177,71 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	}
 }
 
+// TestEvalForwardRetainsNoCaches pins the serving-process memory fix:
+// after Forward(x, false) no layer holds a reference to activation-sized
+// buffers (the legacy path kept them alive for the lifetime of the
+// layer even when no Backward could ever consume them).
+func TestEvalForwardRetainsNoCaches(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	x2 := tensor.Randn(rng, 1, 4, 10)
+	x4 := tensor.Randn(rng, 1, 2, 3, 8, 8)
+
+	lin := NewLinear(rng, "fc", 10, 4, true)
+	lin.Forward(x2, true)
+	lin.Forward(x2, false)
+	if lin.in != nil {
+		t.Error("Linear retains input after eval Forward")
+	}
+
+	conv := NewConv2D(rng, "conv", 3, 4, 3, 1, 1, false)
+	conv.Forward(x4, true)
+	conv.Forward(x4, false)
+	if conv.in != nil || conv.cols != nil {
+		t.Error("Conv2D retains input/im2col caches after eval Forward")
+	}
+
+	bn := NewBatchNorm2D("bn", 3)
+	bn.Forward(x4, true)
+	bn.Forward(x4, false)
+	if bn.xhat != nil || bn.invStd != nil {
+		t.Error("BatchNorm2D retains normalized activations after eval Forward")
+	}
+
+	relu := NewReLU()
+	relu.Forward(x2, true)
+	relu.Forward(x2, false)
+	if relu.mask != nil {
+		t.Error("ReLU retains mask after eval Forward")
+	}
+
+	mp := NewMaxPool2D(2, 2)
+	mp.Forward(x4, true)
+	mp.Forward(x4, false)
+	if mp.argmax != nil {
+		t.Error("MaxPool2D retains argmax after eval Forward")
+	}
+}
+
+// TestBatchNormEvalKeepsRunningStats guards the frozen-stats invariant
+// the eval path relies on: Forward(x, false) does not update the
+// running estimates.
+func TestBatchNormEvalKeepsRunningStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	bn := NewBatchNorm2D("bn", 3)
+	x := tensor.Randn(rng, 1, 2, 3, 4, 4)
+	bn.Forward(x, true) // move stats off their init values
+	mean := bn.RunningMean.Clone()
+	vari := bn.RunningVar.Clone()
+
+	bn.Forward(x, false)
+
+	for ch := 0; ch < 3; ch++ {
+		if bn.RunningMean.Data[ch] != mean.Data[ch] || bn.RunningVar.Data[ch] != vari.Data[ch] {
+			t.Fatal("eval path moved the running statistics")
+		}
+	}
+}
+
 func TestMaxPoolForwardBackward(t *testing.T) {
 	m := NewMaxPool2D(2, 2)
 	x := tensor.FromSlice([]float32{

@@ -95,17 +95,8 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Infer normalizes with the frozen running statistics without touching
-// any layer state; bitwise identical to Forward(x, false).
-func (bn *BatchNorm2D) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
-	n, c, h, w := bn.checkIn(x)
-	out := s.Alloc(n, c, h, w)
-	bn.normalizeFrozen(x, out, n, c, h*w)
-	return out
-}
-
 // normalizeFrozen writes γ·(x−μ̂)/σ̂+β per channel using the running
-// statistics; shared by eval Forward and Infer, and read-only on bn.
+// statistics — the eval branch of Forward, read-only on bn.
 func (bn *BatchNorm2D) normalizeFrozen(x, out *tensor.Tensor, n, c, plane int) {
 	for ch := 0; ch < c; ch++ {
 		mean := bn.RunningMean.Data[ch]

@@ -36,32 +36,17 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Infer pools without touching layer state. The output dims are passed
-// as scalars so a warm scratch allocates nothing.
-func (m *MaxPool2D) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
-	n, c, oh, ow := m.outDims(x)
-	out := s.Alloc(n, c, oh, ow)
-	m.poolInto(out, x, nil)
-	return out
-}
-
-// outDims validates the input and returns the pooled output dimensions.
-func (m *MaxPool2D) outDims(x *tensor.Tensor) (n, c, oh, ow int) {
+// outShape validates the input and returns the pooled output shape.
+func (m *MaxPool2D) outShape(x *tensor.Tensor) []int {
 	checkRank("MaxPool2D", x, 4)
 	h, w := x.Dim(2), x.Dim(3)
-	oh = (h-m.Kernel)/m.Stride + 1
-	ow = (w-m.Kernel)/m.Stride + 1
+	oh := (h-m.Kernel)/m.Stride + 1
+	ow := (w-m.Kernel)/m.Stride + 1
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn.MaxPool2D: input %dx%d too small for kernel %d stride %d",
 			h, w, m.Kernel, m.Stride))
 	}
-	return x.Dim(0), x.Dim(1), oh, ow
-}
-
-// outShape validates the input and returns the pooled output shape.
-func (m *MaxPool2D) outShape(x *tensor.Tensor) []int {
-	n, c, oh, ow := m.outDims(x)
-	return []int{n, c, oh, ow}
+	return []int{x.Dim(0), x.Dim(1), oh, ow}
 }
 
 // poolInto writes the pooled maxima into out; when argmax is non-nil it
@@ -131,22 +116,8 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		g.inShape = nil
 	}
-	out := tensor.New(x.Dim(0), x.Dim(1))
-	avgPoolInto(out, x)
-	return out
-}
-
-// Infer averages over the spatial axes without touching layer state.
-func (g *GlobalAvgPool) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
-	checkRank("GlobalAvgPool", x, 4)
-	out := s.Alloc(x.Dim(0), x.Dim(1))
-	avgPoolInto(out, x)
-	return out
-}
-
-// avgPoolInto writes the per-channel spatial means into out [N, C].
-func avgPoolInto(out, x *tensor.Tensor) {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	out := tensor.New(n, c)
 	plane := h * w
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
@@ -158,6 +129,7 @@ func avgPoolInto(out, x *tensor.Tensor) {
 			out.Data[i*c+ch] = float32(s / float64(plane))
 		}
 	}
+	return out
 }
 
 // Backward spreads each channel gradient uniformly over the plane.

@@ -74,8 +74,8 @@ func ResNet101Config(baseWidth int) ResNetConfig {
 
 // MicroResNet50Config returns a laptop-scale stand-in that keeps the
 // bottleneck topology and relative depth profile of ResNet50 with one
-// block per stage; it is the default experiment backbone (see DESIGN.md
-// substitution table).
+// block per stage; it is the default experiment backbone, because a
+// full-depth ResNet50 cannot train on CPU in the experiments' budget.
 func MicroResNet50Config(baseWidth int) ResNetConfig {
 	return ResNetConfig{
 		Name: "ResNet50", StageDepths: [4]int{1, 1, 1, 1},
@@ -159,24 +159,6 @@ func (b *residualBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return b.relu.Forward(tensor.Add(y, sc), train)
 }
 
-// Infer computes relu(main(x) + shortcut(x)) without touching block
-// state, fusing the residual add with the activation. The fused
-// elementwise pass is bitwise identical to Add-then-ReLU.
-func (b *residualBlock) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
-	y := b.main.Infer(x, s)
-	sc := x
-	if b.shortcut != nil {
-		sc = b.shortcut.Infer(x, s)
-	}
-	out := s.AllocLike(y)
-	for i, v := range y.Data {
-		if v += sc.Data[i]; v > 0 {
-			out.Data[i] = v
-		}
-	}
-	return out
-}
-
 // Backward splits the gradient between the main branch and the shortcut
 // and sums the two input gradients.
 func (b *residualBlock) Backward(dout *tensor.Tensor) *tensor.Tensor {
@@ -246,13 +228,6 @@ func NewResNet(rng *rand.Rand, cfg ResNetConfig) *ResNet {
 // Forward maps images [N, C, H, W] to embeddings [N, OutDim].
 func (r *ResNet) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return r.body.Forward(x, train)
-}
-
-// Infer maps images to embeddings without touching backbone state: the
-// shared-read path any number of goroutines may run concurrently on one
-// frozen backbone, each with its own Scratch.
-func (r *ResNet) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
-	return r.body.Infer(x, s)
 }
 
 // Backward propagates the embedding gradient back to the image gradient.

@@ -26,11 +26,10 @@ type Embedder interface {
 }
 
 // NetEmbedder adapts a frozen network implementing the stateless
-// nn.Inferer contract into an Embedder: every Embed checks a Scratch
-// out of the shared pool, runs the shared-read inference path, and
-// detaches the result. One NetEmbedder serves any number of concurrent
-// requests on one frozen network — that is the point of the Infer
-// refactor.
+// nn.Inferer contract — a compiled plan (nn.CompiledNet) — into an
+// Embedder: every Embed checks a Scratch out of the shared pool, runs
+// the shared-read plan, and detaches the result. One NetEmbedder serves
+// any number of concurrent requests on one frozen network.
 type NetEmbedder struct {
 	name    string
 	net     nn.Inferer
@@ -39,16 +38,12 @@ type NetEmbedder struct {
 }
 
 // NewNetEmbedder wraps net as an embedder expecting per-sample inputs
-// of inShape and producing outDim-dimensional embeddings. The network
+// of inShape and producing outDim-dimensional embeddings. net is served
+// as given; callers pass a compiled plan (nn.Compile, or
+// core.ImageEncoder.Compiled / CompiledInt8), ideally precompiled for
+// inShape so the first request does not build it. The source network
 // must be frozen: nothing may call its training Forward while the
 // embedder serves.
-//
-// When net is a layer graph the frozen-graph compiler can lower
-// (nn.Compile), the embedder serves the compiled plan — BatchNorms
-// folded into conv weights, bias/ReLU/residual adds fused into GEMM
-// write-backs, buffers pre-scheduled — and the plan self-invalidates
-// on parameter version bumps. Graphs with unsupported layers fall back
-// to the layer-by-layer Infer path unchanged.
 func NewNetEmbedder(name string, net nn.Inferer, inShape []int, outDim int) *NetEmbedder {
 	if name == "" {
 		panic("serve.NewNetEmbedder: empty name")
@@ -62,17 +57,6 @@ func NewNetEmbedder(name string, net nn.Inferer, inShape []int, outDim int) *Net
 	for _, s := range inShape {
 		if s <= 0 {
 			panic(fmt.Sprintf("serve.NewNetEmbedder: non-positive dimension in %v", inShape))
-		}
-	}
-	if _, already := net.(*nn.CompiledNet); !already {
-		if l, ok := net.(nn.Layer); ok {
-			// Precompile surfaces lowering errors (and warms the plan for
-			// this embedder's geometry) at registration time, so a graph
-			// the compiler cannot lower falls back here rather than
-			// panicking on the first request.
-			if cn, err := nn.Compile(l); err == nil && cn.Precompile(inShape...) == nil {
-				net = cn
-			}
 		}
 	}
 	return &NetEmbedder{

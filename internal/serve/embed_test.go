@@ -18,11 +18,10 @@ import (
 )
 
 // newTestEmbedder builds a small frozen MLP embedder (Linear→ReLU→Linear,
-// auto-compiled into a frozen-graph plan by NewNetEmbedder) matching the
-// fixture's probe dimensionality, plus the raw inputs it will embed. The
-// source net is returned too so tests can run the legacy Forward path as
-// the offline reference — bitwise identical to the compiled plan for
-// BN-free graphs.
+// served through its compiled frozen-graph plan) matching the fixture's
+// probe dimensionality, plus the raw inputs it will embed. The source
+// net is returned too so tests can run eval Forward as the offline
+// reference — bitwise identical to the compiled plan for BN-free graphs.
 func newTestEmbedder(d, samples int, seed int64) (*NetEmbedder, *tensor.Tensor) {
 	e, _, inputs := newTestEmbedderNet(d, samples, seed)
 	return e, inputs
@@ -36,7 +35,7 @@ func newTestEmbedderNet(d, samples int, seed int64) (*NetEmbedder, *nn.Sequentia
 		nn.NewReLU(),
 		nn.NewLinear(rng, "fc2", 32, d, true),
 	)
-	return NewNetEmbedder("mlp", net, []int{in}, d), net, tensor.Randn(rng, 1, samples, in)
+	return NewNetEmbedder("mlp", nn.MustCompile(net), []int{in}, d), net, tensor.Randn(rng, 1, samples, in)
 }
 
 func TestNetEmbedderShapesAndErrors(t *testing.T) {
@@ -101,8 +100,8 @@ func TestHTTPEmbedClassifyEndToEndParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Offline reference: mutating eval Forward (the legacy path) over the
-	// same frozen net, then a direct batched engine query. The served
+	// Offline reference: mutating eval Forward over the same frozen net,
+	// then a direct batched engine query. The served
 	// embedder runs the compiled plan; for a BN-free MLP the fused
 	// epilogues are exact, so the parity below stays bitwise.
 	offline := seq.Forward(inputs, false)

@@ -17,9 +17,9 @@
 //     batch.
 //   - Registry: a named model table, so one process serves the float,
 //     packed-binary, and analog-crossbar backends side by side. It also
-//     names Embedders: frozen networks run through the stateless nn
-//     Infer path, turning raw inputs into probes so the process serves
-//     end to end (raw input → embed → coalesce → readout).
+//     names Embedders: frozen networks run through their compiled plans
+//     (nn.CompiledNet), turning raw inputs into probes so the process
+//     serves end to end (raw input → embed → coalesce → readout).
 //   - Handler: a net/http JSON API over a Registry — POST /v1/classify,
 //     POST /v1/embed-classify, GET /healthz, GET /stats — the surface
 //     cmd/hdcserve exposes.

@@ -1,16 +1,16 @@
 package tensor
 
-// Arena is a slab-backed bump allocator for short-lived tensors: the
-// per-call workspace of the stateless inference path (internal/nn
-// Scratch) and any other hot loop that would otherwise allocate
-// activation-sized tensors on every call.
+// Arena is a slab-backed bump allocator for short-lived buffers: the
+// per-call workspace of the compiled inference plans (internal/nn
+// Scratch).
 //
-// Alloc carves zero-filled tensors out of large reusable slabs; Reset
-// reclaims everything at once. Tensor headers and shape slices are also
-// served from arena-owned storage, so a warm arena hands out tensors
-// with ZERO heap allocations per call — the property the zero-alloc
-// guards on ResNet.Infer pin. An Arena is NOT safe for concurrent use —
-// the intended pattern is one arena per goroutine (checked out of a
+// Grab and Grab8 carve uninitialized slices out of large reusable slabs;
+// Wrap hands a region out as a tensor; Reset reclaims everything at
+// once. Tensor headers and shape slices are also served from
+// arena-owned storage, so a warm arena hands out tensors with ZERO heap
+// allocations per call — the property the zero-alloc guards on
+// CompiledNet.Infer pin. An Arena is NOT safe for concurrent use — the
+// intended pattern is one arena per goroutine (checked out of a
 // sync.Pool), reset between independent inference calls.
 type Arena struct {
 	slabs [][]float32 // slabs[len-1] is the active slab
@@ -33,16 +33,12 @@ type Arena struct {
 // the first Reset coalesces them.
 const arenaMinSlab = 1 << 16
 
-// alloc returns a zeroed slice of n float32s carved from the arena.
-func (a *Arena) alloc(n int) []float32 {
-	out := a.allocRaw(n)
-	clear(out)
-	return out
-}
-
-// allocRaw carves n float32s from the arena without clearing them; the
-// contents are whatever a previous pass left behind.
-func (a *Arena) allocRaw(n int) []float32 {
+// Grab returns an UNINITIALIZED slice of n float32s carved from the
+// arena, valid until the next Reset: the contents are whatever a
+// previous pass left behind. The compiled inference plan reserves its
+// whole activation slab this way and overwrites every region it reads.
+// Callers must not read elements they have not written.
+func (a *Arena) Grab(n int) []float32 {
 	if len(a.slabs) == 0 || n > len(a.slabs[len(a.slabs)-1])-a.off {
 		size := arenaMinSlab
 		if n > size {
@@ -95,34 +91,6 @@ func (a *Arena) shapeCopy(shape []int) []int {
 	return dst
 }
 
-// Alloc returns a zero-filled tensor of the given shape backed by the
-// arena. The tensor (header included) is valid until the next Reset;
-// callers that need it to outlive the arena must Clone it first.
-func (a *Arena) Alloc(shape ...int) *Tensor {
-	n := checkShape("Arena.Alloc", shape)
-	t := a.header()
-	t.Data = a.alloc(n)
-	t.shape = a.shapeCopy(shape)
-	return t
-}
-
-// AllocLike returns a zero-filled arena tensor with ref's shape, without
-// the shape-copy allocation t.Shape() would cost.
-func (a *Arena) AllocLike(ref *Tensor) *Tensor {
-	t := a.header()
-	t.Data = a.alloc(len(ref.Data))
-	t.shape = a.shapeCopy(ref.shape)
-	return t
-}
-
-// Grab returns an UNINITIALIZED slice of n float32s carved from the
-// arena, valid until the next Reset. It is Alloc without the zero fill
-// and without a tensor header: the compiled inference plan reserves its
-// whole activation slab this way and overwrites every region it reads,
-// so the per-call memclr of activation-sized buffers disappears.
-// Callers must not read elements they have not written.
-func (a *Arena) Grab(n int) []float32 { return a.allocRaw(n) }
-
 // Grab8 is Grab for int8 storage: an UNINITIALIZED slice of n int8s
 // carved from the arena's int8 slabs, valid until the next Reset. The
 // quantized compiled plan reserves its activation slab this way.
@@ -145,7 +113,8 @@ func (a *Arena) Grab8(n int) []int8 {
 // Wrap returns an arena-backed tensor header over data (not copied)
 // with the given shape; the element count must match. This is how the
 // compiled plan hands out its slab regions as tensors without heap
-// allocations.
+// allocations. The header is valid until the next Reset; callers that
+// need the tensor to outlive the arena must Clone it first.
 func (a *Arena) Wrap(data []float32, shape ...int) *Tensor {
 	n := checkShape("Arena.Wrap", shape)
 	if n != len(data) {
@@ -153,20 +122,6 @@ func (a *Arena) Wrap(data []float32, shape ...int) *Tensor {
 	}
 	t := a.header()
 	t.Data = data
-	t.shape = a.shapeCopy(shape)
-	return t
-}
-
-// View returns an arena-backed tensor header over src's data with a new
-// shape (element count must match) — a Reshape whose header lives in the
-// arena. The data is shared with src, not copied.
-func (a *Arena) View(src *Tensor, shape ...int) *Tensor {
-	n := checkShape("Arena.View", shape)
-	if n != len(src.Data) {
-		panic("tensor.Arena.View: element count mismatch")
-	}
-	t := a.header()
-	t.Data = src.Data
 	t.shape = a.shapeCopy(shape)
 	return t
 }

@@ -27,8 +27,8 @@ import (
 // Determinism contract: the value of every output element depends only on
 // (m, k, n) and the operands — never on the worker count or on which
 // column range a worker owns. Parallel callers therefore get bitwise-
-// identical results for any worker budget, the invariant the shared-read
-// inference path (nn.Infer) and the seeded evaluation pipeline pin in
+// identical results for any worker budget, the invariant the compiled
+// inference plans (nn.CompiledNet) and the seeded evaluation pipeline pin in
 // tests. The accumulation order differs from the retained reference
 // kernel (matmulRefInto), so results are compared against it with a
 // tolerance, not bit equality.
@@ -101,8 +101,8 @@ var gemmBufPool = sync.Pool{New: func() any { return new(GemmBuf) }}
 // columns. Packing is pure data movement, so a GEMM fed a PackedB is
 // bitwise identical to one that packs on the fly; it just skips the
 // per-call packing pass. Frozen layer weights cache one (see
-// nn.Linear.Infer). A PackedB is immutable after PackB and safe for
-// concurrent readers.
+// nn.Linear's packed panel). A PackedB is immutable after PackB and safe
+// for concurrent readers.
 type PackedB struct {
 	k, n, nPad int
 	data       []float32

@@ -86,26 +86,21 @@ func TestParallelRowsCoversEveryRowOnce(t *testing.T) {
 	}
 }
 
-func TestArenaAllocZeroedAndAliasedFree(t *testing.T) {
+// TestArenaGrabDisjoint pins that live grabs never alias; reuse after
+// Reset is TestArenaGrabWrap's.
+func TestArenaGrabDisjoint(t *testing.T) {
 	var a Arena
-	x := a.Alloc(4, 8)
+	x := a.Wrap(a.Grab(32), 4, 8)
 	for i := range x.Data {
-		if x.Data[i] != 0 {
-			t.Fatal("fresh arena allocation not zeroed")
-		}
 		x.Data[i] = 7
 	}
-	y := a.Alloc(4, 8)
-	for _, v := range y.Data {
-		if v != 0 {
-			t.Fatal("second allocation overlaps the first or is not zeroed")
-		}
+	y := a.Wrap(a.Grab(32), 4, 8)
+	for i := range y.Data {
+		y.Data[i] = 9
 	}
-	a.Reset()
-	z := a.Alloc(4, 8)
-	for _, v := range z.Data {
-		if v != 0 {
-			t.Fatal("post-Reset allocation sees stale data")
+	for _, v := range x.Data {
+		if v != 7 {
+			t.Fatal("second grab overlaps the first")
 		}
 	}
 }
@@ -114,7 +109,7 @@ func TestArenaCoalescesAfterOverflow(t *testing.T) {
 	var a Arena
 	// Force several slabs: allocations larger than the minimum slab.
 	for i := 0; i < 3; i++ {
-		a.Alloc(arenaMinSlab + 1)
+		a.Grab(arenaMinSlab + 1)
 	}
 	if len(a.slabs) != 3 {
 		t.Fatalf("want 3 slabs before Reset, have %d", len(a.slabs))
@@ -127,7 +122,7 @@ func TestArenaCoalescesAfterOverflow(t *testing.T) {
 	}
 	// The coalesced slab now serves the same workload allocation-free.
 	for i := 0; i < 3; i++ {
-		a.Alloc(arenaMinSlab + 1)
+		a.Grab(arenaMinSlab + 1)
 	}
 	if len(a.slabs) != 1 {
 		t.Fatalf("coalesced slab should absorb the workload, have %d slabs", len(a.slabs))
