@@ -192,36 +192,50 @@ func resolveRanges(rangeList, layoutPath, self, addr string, classes, dim int) (
 // here on restart. At epoch 0 the growing range serves bytes identical
 // to a frozen slab, so deployments that never enroll are unchanged.
 func buildServer(backend string, classes, dim int, seed int64, workers int, ranges [][2]int, walDir string, snapEvery int) (*dist.ShardServer, *classmem.Versioned, error) {
-	mem := classmem.Build(classes, dim, seed)
-	global, err := mem.Backend(backend)
-	if err != nil {
-		return nil, nil, err
+	var store *classmem.Versioned
+	var growing *dist.GrowingSlab
+	var frozen [][2]int
+	for _, r := range ranges {
+		if r[1] != classes {
+			frozen = append(frozen, r)
+			continue
+		}
+		var err error
+		if walDir != "" {
+			store, err = classmem.OpenVersioned(walDir, classes, dim, seed, snapEvery)
+		} else {
+			store = classmem.NewVersioned(classes, dim, seed)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		growing = &dist.GrowingSlab{Base: r[0], Width: r[1] - r[0], Backend: backend, Workers: workers, Store: store}
 	}
 	var opts []infer.Option
 	if workers > 0 {
 		opts = append(opts, infer.WithWorkers(workers))
 	}
-	var store *classmem.Versioned
-	var growing *dist.GrowingSlab
-	slabs := make([]dist.Slab, 0, len(ranges))
-	for _, r := range ranges {
-		if r[1] == classes {
-			if walDir != "" {
-				store, err = classmem.OpenVersioned(walDir, classes, dim, seed, snapEvery)
-			} else {
-				store = classmem.NewVersioned(classes, dim, seed)
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			growing = &dist.GrowingSlab{Base: r[0], Width: r[1] - r[0], Backend: backend, Workers: workers, Store: store}
-			continue
+	slabs := make([]dist.Slab, 0, len(frozen))
+	if len(frozen) > 0 {
+		// The store already holds the frozen memory: rows below its base
+		// are immutable at every epoch, so build the memory only once.
+		var mem *classmem.Memory
+		if store != nil {
+			mem = store.Snapshot().Mem
+		} else {
+			mem = classmem.Build(classes, dim, seed)
 		}
-		eng, err := infer.NewChecked(infer.NewRangeBackend(global, r[0], r[1]), opts...)
+		global, err := mem.Backend(backend)
 		if err != nil {
 			return nil, nil, err
 		}
-		slabs = append(slabs, dist.Slab{Base: r[0], Engine: eng})
+		for _, r := range frozen {
+			eng, err := infer.NewChecked(infer.NewRangeBackend(global, r[0], r[1]), opts...)
+			if err != nil {
+				return nil, nil, err
+			}
+			slabs = append(slabs, dist.Slab{Base: r[0], Engine: eng})
+		}
 	}
 	if growing == nil {
 		if walDir != "" {

@@ -3,9 +3,11 @@ package attrenc
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/hdc"
 	"repro/internal/tensor"
 )
 
@@ -172,6 +174,50 @@ func TestClassPrototypeRecallsOwnAttributes(t *testing.T) {
 	cn := proto.Cosine(nonMember)
 	if cm < 0.1 || cm < cn+0.1 {
 		t.Fatalf("prototype recall weak: member=%v non-member=%v", cm, cn)
+	}
+}
+
+// attrVectorPrototype is the former ClassPrototype, which bundled each
+// codevector through AttrVector's pack, XOR and unpack; kept as the
+// reference the bipolar-side binding must reproduce bit for bit,
+// including every tie-break draw from rng.
+func attrVectorPrototype(e *HDCEncoder, rng *rand.Rand, classAttr []float32) *hdc.Binary {
+	acc := hdc.NewAccumulator(e.dim)
+	for g := range e.Schema.Groups {
+		off := e.Schema.GroupAttrOffset[g]
+		best, bestV := 0, float32(-1)
+		for vi := range e.Schema.Groups[g].Values {
+			if classAttr[off+vi] > bestV {
+				bestV, best = classAttr[off+vi], vi
+			}
+		}
+		acc.Add(e.AttrVector(off + best).ToBipolar())
+	}
+	return hdc.FromBipolar(acc.Threshold(rng))
+}
+
+func TestClassPrototypeMatchesAttrVectorBundling(t *testing.T) {
+	const classes = 50
+	for _, tc := range []struct {
+		seed int64
+		dim  int
+	}{{1, 1536}, {2, 1536}, {3, 1000}} {
+		e := NewHDCEncoder(rand.New(rand.NewSource(tc.seed)), dataset.NewCUBSchema(), tc.dim)
+		_, attr := dataset.GenerateClasses(dataset.Config{NumClasses: classes, Seed: tc.seed})
+		gotRng := rand.New(rand.NewSource(tc.seed + 100))
+		wantRng := rand.New(rand.NewSource(tc.seed + 100))
+		for c := 0; c < classes; c++ {
+			got := e.ClassPrototype(gotRng, attr.Row(c))
+			want := attrVectorPrototype(e, wantRng, attr.Row(c))
+			if !slices.Equal(got.Words(), want.Words()) {
+				t.Fatalf("seed %d d=%d class %d: prototype differs from the AttrVector bundling (Hamming %d)",
+					tc.seed, tc.dim, c, got.Hamming(want))
+			}
+		}
+		// Both paths drew the same number of tie breaks.
+		if g, w := gotRng.Int63(), wantRng.Int63(); g != w {
+			t.Fatalf("seed %d: rng streams diverged after %d classes", tc.seed, classes)
+		}
 	}
 }
 

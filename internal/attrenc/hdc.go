@@ -109,11 +109,11 @@ func (e *HDCEncoder) MemoryFootprint() hdc.MemoryFootprint {
 	return hdc.NewMemoryFootprint(e.Schema.NumGroups(), e.Schema.NumValues(), e.Schema.Alpha(), e.dim)
 }
 
-// ClassPrototype bundles the binary attribute codevectors of a class's
-// dominant attributes (one per group, by maximum certainty) into a single
-// packed hypervector: the item-memory entry of the edge-inference path.
+// ClassPrototype bundles the codevectors g ⊙ v of a class's dominant
+// attributes (one per group, by maximum certainty), bound on the bipolar
+// side, into the packed item-memory entry of the edge-inference path.
 func (e *HDCEncoder) ClassPrototype(rng *rand.Rand, classAttr []float32) *hdc.Binary {
-	acc := hdc.NewAccumulator(e.dim)
+	acc, bound := hdc.NewAccumulator(e.dim), make(hdc.Bipolar, e.dim)
 	for g := range e.Schema.Groups {
 		off := e.Schema.GroupAttrOffset[g]
 		best, bestV := 0, float32(-1)
@@ -122,7 +122,8 @@ func (e *HDCEncoder) ClassPrototype(rng *rand.Rand, classAttr []float32) *hdc.Bi
 				bestV, best = classAttr[off+vi], vi
 			}
 		}
-		acc.Add(e.AttrVector(off + best).ToBipolar())
+		e.Groups.At(g).BindInto(e.Values.At(e.Schema.AttrValue[off+best]), bound)
+		acc.Add(bound)
 	}
 	return hdc.FromBipolar(acc.Threshold(rng))
 }

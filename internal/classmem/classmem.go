@@ -46,19 +46,15 @@ func Build(classes, dim int, seed int64) *Memory {
 	rng := rand.New(rand.NewSource(seed))
 	schema := dataset.NewCUBSchema()
 	enc := attrenc.NewHDCEncoder(rng, schema, dim)
-	dcfg := dataset.DefaultConfig()
-	dcfg.NumClasses = classes
-	dcfg.Seed = seed
-	data := dataset.Generate(dcfg)
+	names, attr := dataset.GenerateClasses(dataset.Config{NumClasses: classes, Seed: seed})
 
 	m := &Memory{
-		Labels: make([]string, classes),
+		Labels: names,
 		Phi:    tensor.New(classes, dim),
 		Items:  hdc.NewItemMemory(dim),
 	}
 	for c := 0; c < classes; c++ {
-		m.Labels[c] = data.ClassNames[c]
-		proto := enc.ClassPrototype(rng, data.ClassAttr.Row(c))
+		proto := enc.ClassPrototype(rng, attr.Row(c))
 		m.Items.Store(m.Labels[c], proto)
 		copy(m.Phi.Row(c), proto.ToBipolar().Float32())
 	}

@@ -58,20 +58,18 @@ type Instance struct {
 // SynthCUB is the generated dataset: a class-attribute matrix A ∈
 // [0,1]^{C×α} of continuous certainties plus rendered instances.
 type SynthCUB struct {
-	Cfg       Config
-	Schema    *Schema
-	ClassAttr *tensor.Tensor // [C, α]
+	Cfg        Config
+	Schema     *Schema
+	ClassAttr  *tensor.Tensor // [C, α]
 	ClassNames []string
-	Instances []Instance
-	renderer  *renderer
+	Instances  []Instance
+	renderer   *renderer
 }
 
 // Generate builds a SynthCUB dataset from cfg. Class attribute profiles
-// are sampled first (one dominant value per group with certainty in
-// [0.7,1], occasionally a secondary value, small background certainty
-// elsewhere, mirroring CUB's continuous class-level attribute
-// certainties); each instance then samples one concrete value per group
-// from its class profile and renders the result to pixels.
+// are sampled first (see GenerateClasses); each instance then samples one
+// concrete value per group from its class profile and renders the result
+// to pixels.
 func Generate(cfg Config) *SynthCUB {
 	if cfg.NumClasses <= 1 || cfg.ImagesPerClass <= 0 || cfg.Height <= 0 || cfg.Width <= 0 {
 		panic(fmt.Sprintf("dataset.Generate: bad config %+v", cfg))
@@ -79,15 +77,40 @@ func Generate(cfg Config) *SynthCUB {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	schema := NewCUBSchema()
 	d := &SynthCUB{
-		Cfg:       cfg,
-		Schema:    schema,
-		ClassAttr: tensor.New(cfg.NumClasses, schema.Alpha()),
-		renderer:  newRenderer(schema, cfg.Height, cfg.Width, rand.New(rand.NewSource(cfg.Seed+7919))),
+		Cfg:      cfg,
+		Schema:   schema,
+		renderer: newRenderer(schema, cfg.Height, cfg.Width, rand.New(rand.NewSource(cfg.Seed+7919))),
 	}
-
+	d.ClassNames, d.ClassAttr = generateClasses(rng, schema, cfg.NumClasses)
 	for c := 0; c < cfg.NumClasses; c++ {
-		d.ClassNames = append(d.ClassNames, fmt.Sprintf("species-%03d", c))
-		row := d.ClassAttr.Row(c)
+		for k := 0; k < cfg.ImagesPerClass; k++ {
+			d.Instances = append(d.Instances, d.sampleInstance(rng, c))
+		}
+	}
+	return d
+}
+
+// GenerateClasses returns the class names and [C, α] class-attribute
+// matrix of Generate(cfg), bit for bit, without rendering any instance:
+// the part of the dataset a class memory is built from. Only
+// cfg.NumClasses and cfg.Seed are read.
+func GenerateClasses(cfg Config) ([]string, *tensor.Tensor) {
+	if cfg.NumClasses <= 1 {
+		panic(fmt.Sprintf("dataset.GenerateClasses: bad class count %d", cfg.NumClasses))
+	}
+	return generateClasses(rand.New(rand.NewSource(cfg.Seed)), NewCUBSchema(), cfg.NumClasses)
+}
+
+// generateClasses samples n class attribute profiles from rng: one
+// dominant value per group with certainty in [0.7,1], occasionally a
+// secondary value, small background certainty elsewhere, mirroring CUB's
+// continuous class-level attribute certainties.
+func generateClasses(rng *rand.Rand, schema *Schema, n int) ([]string, *tensor.Tensor) {
+	names := make([]string, n)
+	attr := tensor.New(n, schema.Alpha())
+	for c := range n {
+		names[c] = fmt.Sprintf("species-%03d", c)
+		row := attr.Row(c)
 		for g, grp := range schema.Groups {
 			primary := rng.Intn(len(grp.Values))
 			off := schema.GroupAttrOffset[g]
@@ -107,13 +130,7 @@ func Generate(cfg Config) *SynthCUB {
 			}
 		}
 	}
-
-	for c := 0; c < cfg.NumClasses; c++ {
-		for k := 0; k < cfg.ImagesPerClass; k++ {
-			d.Instances = append(d.Instances, d.sampleInstance(rng, c))
-		}
-	}
-	return d
+	return names, attr
 }
 
 // sampleInstance draws instance-level attributes from the class profile

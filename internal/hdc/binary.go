@@ -172,11 +172,10 @@ func (b *Binary) PermuteInto(k int, dst *Binary) {
 // (bit 1 → −1, bit 0 → +1).
 func (b *Binary) ToBipolar() Bipolar {
 	out := make(Bipolar, b.dim)
-	for i := 0; i < b.dim; i++ {
-		if b.Bit(i) == 1 {
-			out[i] = -1
-		} else {
-			out[i] = 1
+	for j, w := range b.words {
+		chunk := out[j*64 : min(j*64+64, b.dim)]
+		for i := range chunk {
+			chunk[i] = 1 - 2*int8(w>>i&1)
 		}
 	}
 	return out
@@ -186,15 +185,15 @@ func (b *Binary) ToBipolar() Bipolar {
 // Zero components (possible in unthresholded intermediates) are rejected.
 func FromBipolar(v Bipolar) *Binary {
 	b := NewBinary(len(v))
-	for i, x := range v {
-		switch x {
-		case -1:
-			b.SetBit(i, 1)
-		case 1:
-			// bit stays 0
-		default:
-			panic(fmt.Sprintf("hdc.FromBipolar: component %d is %d, want ±1", i, x))
+	for j := range b.words {
+		var w uint64
+		for i, x := range v[j*64 : min(j*64+64, len(v))] {
+			if x != 1 && x != -1 {
+				panic(fmt.Sprintf("hdc.FromBipolar: component %d is %d, want ±1", j*64+i, x))
+			}
+			w |= uint64(uint8(x)>>7) << i // the sign bit: 1 for −1, 0 for +1
 		}
+		b.words[j] = w
 	}
 	return b
 }

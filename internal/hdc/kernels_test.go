@@ -2,6 +2,7 @@ package hdc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -30,6 +31,75 @@ func TestBinaryPermuteMatchesNaive(t *testing.T) {
 				t.Fatalf("Permute(d=%d, k=%d) diverged from per-bit reference", d, k)
 			}
 		}
+	}
+}
+
+// naiveFromBipolar and naiveToBipolar are the former per-component
+// SetBit/Bit conversions, kept as the references the word-level pack and
+// unpack must reproduce.
+func naiveFromBipolar(v Bipolar) *Binary {
+	b := NewBinary(len(v))
+	for i, x := range v {
+		if x == -1 {
+			b.SetBit(i, 1)
+		}
+	}
+	return b
+}
+
+func naiveToBipolar(b *Binary) Bipolar {
+	out := make(Bipolar, b.Dim())
+	for i := range out {
+		out[i] = int8(1 - 2*b.Bit(i))
+	}
+	return out
+}
+
+func TestBipolarPackMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, d := range []int{1, 63, 64, 65, 1536, 2047} {
+		allNeg := make(Bipolar, d)
+		for i := range allNeg {
+			allNeg[i] = -1
+		}
+		allPos := NewBinary(d).ToBipolar()
+		for _, v := range []Bipolar{NewRandomBipolar(rng, d), NewRandomBipolar(rng, d), allNeg, allPos} {
+			got, want := FromBipolar(v), naiveFromBipolar(v)
+			if !slices.Equal(got.words, want.words) {
+				t.Fatalf("d=%d: FromBipolar words differ from the per-bit reference", d)
+			}
+			if rem := d % 64; rem != 0 && got.words[len(got.words)-1]>>rem != 0 {
+				t.Fatalf("d=%d: FromBipolar set tail bits beyond dim", d)
+			}
+			if back := got.ToBipolar(); !slices.Equal(back, naiveToBipolar(got)) || !slices.Equal(back, v) {
+				t.Fatalf("d=%d: ToBipolar differs from the per-bit reference or the input", d)
+			}
+		}
+		r := NewRandomBinary(rng, d)
+		if !slices.Equal(r.ToBipolar(), naiveToBipolar(r)) {
+			t.Fatalf("d=%d: ToBipolar of a random packed vector differs from the per-bit reference", d)
+		}
+	}
+}
+
+func TestFromBipolarPanicMessage(t *testing.T) {
+	long := NewBinary(130).ToBipolar()
+	long[66] = 2
+	for _, tc := range []struct {
+		v    Bipolar
+		want string
+	}{
+		{Bipolar{1, 0, -1}, "hdc.FromBipolar: component 1 is 0, want ±1"},
+		{long, "hdc.FromBipolar: component 66 is 2, want ±1"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("panic %v, want %q", got, tc.want)
+				}
+			}()
+			FromBipolar(tc.v)
+		}()
 	}
 }
 
