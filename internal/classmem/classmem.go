@@ -1,9 +1,10 @@
 // Package classmem builds the frozen synthetic class memory the serving
 // commands ship: bundled class prototypes from the stationary HDC
-// attribute encoder over a SynthCUB class set, realized simultaneously
-// as float embeddings (reference cosine path), a packed binary item
-// memory (XOR+popcount edge path), and — derived on demand — an analog
-// crossbar backend.
+// attribute encoder over a SynthCUB class set, stored once, as the
+// packed sign words of an item memory. The binary backend
+// (XOR+popcount edge path) scans those words directly; the float
+// backend (reference cosine path) and the analog crossbar backend
+// expand them to their exact ±1 values per shard tile, on first use.
 //
 // The construction is a pure function of (classes, dim, seed). That
 // purity is what the distributed path leans on: cmd/hdcshard processes
@@ -23,7 +24,6 @@ import (
 	"repro/internal/hdc"
 	"repro/internal/imc"
 	"repro/internal/infer"
-	"repro/internal/tensor"
 )
 
 // Temp is the similarity temperature the serving commands fix for the
@@ -31,12 +31,10 @@ import (
 // similarity kernel is folded in here).
 const Temp = 1.0
 
-// Memory is one frozen class memory in both realizations.
+// Memory is one frozen class memory.
 type Memory struct {
 	Labels []string
-	// Phi is the [classes, dim] bipolar float class-embedding matrix.
-	Phi *tensor.Tensor
-	// Items is the packed binary item memory over the same prototypes.
+	// Items holds the packed prototypes, one row of sign words per class.
 	Items *hdc.ItemMemory
 }
 
@@ -50,13 +48,10 @@ func Build(classes, dim int, seed int64) *Memory {
 
 	m := &Memory{
 		Labels: names,
-		Phi:    tensor.New(classes, dim),
 		Items:  hdc.NewItemMemory(dim),
 	}
 	for c := 0; c < classes; c++ {
-		proto := enc.ClassPrototype(rng, attr.Row(c))
-		m.Items.Store(m.Labels[c], proto)
-		copy(m.Phi.Row(c), proto.ToBipolar().Float32())
+		m.Items.Store(m.Labels[c], enc.ClassPrototype(rng, attr.Row(c)))
 	}
 	return m
 }
@@ -72,11 +67,11 @@ func Build(classes, dim int, seed int64) *Memory {
 func (m *Memory) Backend(name string) (infer.Backend, error) {
 	switch name {
 	case "float":
-		return infer.NewFloatBackend(m.Phi, m.Labels, Temp), nil
+		return infer.NewItemFloatBackend(m.Items, Temp, nil), nil
 	case "binary":
 		return infer.NewBinaryBackend(m.Items), nil
 	case "imc":
-		return infer.NewCrossbarBackend(m.Phi, m.Labels, Temp, imc.TypicalPCM()), nil
+		return infer.NewItemCrossbarBackend(m.Items, Temp, imc.TypicalPCM()), nil
 	default:
 		return nil, fmt.Errorf("classmem: unknown backend %q (want float, binary, or imc)", name)
 	}

@@ -14,7 +14,8 @@ import (
 // that moved:
 //
 //	labels: per class in row order, uint32 byte length then the label bytes
-//	phi:    Phi.Data row-major, each float32 as its IEEE-754 bits (uint32)
+//	phi:    the ±1 float32 expansion of each row, row-major, as IEEE-754
+//	        bits (uint32) — the matrix the float and crossbar tiles pack
 //	words:  Items.Slab() row-major, each uint64 word (zero tail bits included)
 func memoryDigests(m *Memory) (labels, phi, words string) {
 	var lb, pb, wb []byte
@@ -22,8 +23,10 @@ func memoryDigests(m *Memory) (labels, phi, words string) {
 		lb = binary.LittleEndian.AppendUint32(lb, uint32(len(l)))
 		lb = append(lb, l...)
 	}
-	for _, x := range m.Phi.Data {
-		pb = binary.LittleEndian.AppendUint32(pb, math.Float32bits(x))
+	for c := 0; c < m.Items.Len(); c++ {
+		for _, x := range m.Items.Vector(c).ToBipolar().Float32() {
+			pb = binary.LittleEndian.AppendUint32(pb, math.Float32bits(x))
+		}
 	}
 	for _, w := range m.Items.Slab() {
 		wb = binary.LittleEndian.AppendUint64(wb, w)

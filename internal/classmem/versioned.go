@@ -4,13 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/hdc"
-	"repro/internal/imc"
 	"repro/internal/infer"
-	"repro/internal/tensor"
 )
 
 // Live-enrollment errors. ErrEpochConflict and ErrEpochGap are the
@@ -37,31 +36,10 @@ var (
 // contains.
 type Snapshot struct {
 	Epoch uint64
-	// Mem is the class memory at this epoch. Its Phi tensor and Items
-	// slab are zero-copy views into backing shared with later epochs;
-	// the viewed prefix is immutable.
+	// Mem is the class memory at this epoch. Its Items slab is a
+	// zero-copy view into backing shared with later epochs; the viewed
+	// prefix is immutable.
 	Mem *Memory
-	// Norms holds the per-row L2 norms of Mem.Phi, maintained
-	// incrementally (one append per enrollment) so float backends
-	// never renormalize the whole matrix on an epoch flip.
-	Norms *tensor.Tensor
-}
-
-// Backend realizes the named serving backend over this epoch's memory.
-// Unlike Memory.Backend, the float path reuses the incrementally
-// maintained norms. For tile-cache carry-over across epochs use
-// Versioned.Backend instead.
-func (s *Snapshot) Backend(name string) (infer.Backend, error) {
-	switch name {
-	case "float":
-		return infer.NewFloatBackendView(s.Mem.Phi, s.Norms, s.Mem.Labels, Temp, nil), nil
-	case "binary":
-		return infer.NewBinaryBackend(s.Mem.Items), nil
-	case "imc":
-		return infer.NewCrossbarBackend(s.Mem.Phi, s.Mem.Labels, Temp, imc.TypicalPCM()), nil
-	default:
-		return nil, fmt.Errorf("classmem: unknown backend %q (want float, binary, or imc)", name)
-	}
 }
 
 // memorySlab is the growable backing a Versioned store appends to. The
@@ -77,9 +55,7 @@ func (s *Snapshot) Backend(name string) (infer.Backend, error) {
 // a stale-epoch bug in production.
 type memorySlab struct {
 	labels []string
-	phi    []float32 // rows × dim
-	norms  []float32 // rows
-	words  []uint64  // rows × wpv
+	words  []uint64 // rows × wpv
 	rows   int
 }
 
@@ -123,6 +99,7 @@ type Versioned struct {
 
 	// prevFloat carries the last float backend built by Backend() so
 	// the next epoch's backend inherits still-valid packed ϕᵀ tiles.
+	// Guarded by mu.
 	prevFloat *infer.FloatBackend
 
 	walBytes atomic.Int64
@@ -151,8 +128,6 @@ func (v *Versioned) seedBase(classes, dim int, seed int64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.slab.labels = m.Labels
-	v.slab.phi = m.Phi.Data
-	v.slab.norms = tensor.RowNorms(m.Phi).Data
 	v.slab.words = m.Items.Slab()
 	v.slab.rows = classes
 	v.PublishEpoch()
@@ -170,10 +145,8 @@ func (v *Versioned) PublishEpoch() {
 		Epoch: uint64(n - v.base),
 		Mem: &Memory{
 			Labels: labels,
-			Phi:    tensor.FromSlice(v.slab.phi[:n*v.dim], n, v.dim),
 			Items:  hdc.ItemMemoryFromSlab(v.dim, labels, v.slab.words[:n*v.wpv]),
 		},
-		Norms: tensor.FromSlice(v.slab.norms[:n:n], n),
 	})
 }
 
@@ -293,13 +266,13 @@ func (v *Versioned) Prepare(epoch uint64, label string, proto *hdc.Binary) error
 		return fmt.Errorf("%w: prepare epoch 0", ErrEpochGap)
 	case epoch <= published:
 		row := v.base + int(epoch) - 1
-		if v.slab.labels[row] != label || !wordsEqual(v.slab.words[row*v.wpv:(row+1)*v.wpv], proto.Words()) {
+		if v.slab.labels[row] != label || !slices.Equal(v.slab.words[row*v.wpv:(row+1)*v.wpv], proto.Words()) {
 			return fmt.Errorf("%w: epoch %d already published", ErrEpochConflict, epoch)
 		}
 		return nil
 	case epoch == published+1:
 		if v.pending != nil {
-			if v.pending.label != label || !wordsEqual(v.pending.words, proto.Words()) {
+			if v.pending.label != label || !slices.Equal(v.pending.words, proto.Words()) {
 				return fmt.Errorf("%w: epoch %d already staged", ErrEpochConflict, epoch)
 			}
 			return nil
@@ -344,39 +317,32 @@ func (v *Versioned) Commit(epoch uint64) error {
 	}
 }
 
-// applyLocked appends one enrolled row to every slab and publishes the
-// next epoch. The phi row and its norm are derived from the packed
-// words by exactly the Build construction (ToBipolar → Float32 →
-// RowNorms), so a replayed or forwarded enrollment is bit-identical to
-// a locally constructed one.
+// applyLocked appends one enrolled row (label and packed words) and
+// publishes the next epoch. The words are the whole class row: float
+// and crossbar tiles expand them on demand, so a replayed or forwarded
+// enrollment is bit-identical to a locally constructed one.
 func (v *Versioned) applyLocked(label string, words []uint64) {
-	row := hdc.BinaryFromWords(v.dim, append([]uint64(nil), words...)).ToBipolar().Float32()
 	v.slab.labels = append(v.slab.labels, label)
-	v.slab.phi = append(v.slab.phi, row...)
-	v.slab.norms = append(v.slab.norms, tensor.RowNorms(tensor.FromSlice(row, 1, v.dim)).Data[0])
 	v.slab.words = append(v.slab.words, words...)
 	v.slab.rows++
 	v.sinceSnap++
 	v.PublishEpoch()
 }
 
-// Backend realizes the named backend over the live snapshot. The float
-// path carries packed ϕᵀ tiles forward from the previous epoch's
-// backend (rows are immutable, so tiles fully inside the old prefix
-// stay byte-valid) — an epoch flip re-packs only ranges that grew.
+// Backend realizes the named backend over the live snapshot, as
+// Memory.Backend does. The float path additionally carries packed ϕᵀ
+// tiles forward from the previous epoch's backend (rows are immutable,
+// so tiles fully inside the old prefix stay valid) — an epoch flip
+// re-packs only ranges that grew.
 func (v *Versioned) Backend(name string) (infer.Backend, error) {
-	s := v.Snapshot()
+	mem := v.Snapshot().Mem
 	if name != "float" {
-		return s.Backend(name)
+		return mem.Backend(name)
 	}
 	v.mu.Lock()
-	prev := v.prevFloat
-	v.mu.Unlock()
-	b := infer.NewFloatBackendView(s.Mem.Phi, s.Norms, s.Mem.Labels, Temp, prev)
-	v.mu.Lock()
-	v.prevFloat = b
-	v.mu.Unlock()
-	return b, nil
+	defer v.mu.Unlock()
+	v.prevFloat = infer.NewItemFloatBackend(mem.Items, Temp, v.prevFloat)
+	return v.prevFloat, nil
 }
 
 // Close releases the WAL file handle (the store stays queryable).
@@ -389,16 +355,4 @@ func (v *Versioned) Close() error {
 	err := v.wal.close()
 	v.wal = nil
 	return err
-}
-
-func wordsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

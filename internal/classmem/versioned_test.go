@@ -2,9 +2,11 @@ package classmem
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/hdc"
@@ -34,7 +36,8 @@ func vtProto(i int) *hdc.Binary {
 }
 
 // assertBitIdentical compares two stores' published memories bit for
-// bit: labels, packed words, phi floats, norms, epoch.
+// bit: labels, packed words, epoch. The words are the whole memory;
+// every backend derives its rows from them.
 func assertBitIdentical(t *testing.T, got, want *Versioned) {
 	t.Helper()
 	gs, ws := got.Snapshot(), want.Snapshot()
@@ -56,20 +59,6 @@ func assertBitIdentical(t *testing.T, got, want *Versioned) {
 	for i := range gw {
 		if gw[i] != ww[i] {
 			t.Fatalf("slab word %d: %#x, want %#x", i, gw[i], ww[i])
-		}
-	}
-	gp, wp := gs.Mem.Phi.Data, ws.Mem.Phi.Data
-	if len(gp) != len(wp) {
-		t.Fatalf("%d phi floats, want %d", len(gp), len(wp))
-	}
-	for i := range gp {
-		if gp[i] != wp[i] {
-			t.Fatalf("phi[%d]: %v, want %v", i, gp[i], wp[i])
-		}
-	}
-	for i := range gs.Norms.Data {
-		if gs.Norms.Data[i] != ws.Norms.Data[i] {
-			t.Fatalf("norm[%d]: %v, want %v", i, gs.Norms.Data[i], ws.Norms.Data[i])
 		}
 	}
 }
@@ -191,6 +180,82 @@ func TestVersionedWALTornTail(t *testing.T) {
 	}
 }
 
+// TestDurableFormatDigest pins the bytes of both durable formats at the
+// CUB-200 geometry: the WAL after 16 fixed enrollments, then the
+// HDCMSNP1 snapshot that compacts them. Either digest moving means a
+// store written by one build no longer replays under another.
+func TestDurableFormatDigest(t *testing.T) {
+	const (
+		wantWAL  = "470721ce3e70e363598f2c96685128e7bba3eaa12be86bed82f3495aabf29024"
+		wantSnap = "f27fa96cce45bad764268997f27688da465058802451e9f111859a79b8e93960"
+	)
+	dir := t.TempDir()
+	v, err := OpenVersioned(dir, 200, 1536, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 16; i++ {
+		if _, err := v.Enroll(fmt.Sprintf("golden-%02d", i), hdc.NewRandomBinary(rng, 1536)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fileDigest := func(name string) string {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha256Hex(raw)
+	}
+	if got := fileDigest(walName); got != wantWAL {
+		t.Errorf("%s digest %s, want %s", walName, got, wantWAL)
+	}
+	if err := v.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileDigest(snapName); got != wantSnap {
+		t.Errorf("%s digest %s, want %s", snapName, got, wantSnap)
+	}
+}
+
+// TestVersionedEnrollFootprint bounds what one enrollment keeps alive:
+// the packed sign words, the label and amortized slab growth. The three
+// serving backends are rebuilt after every enrollment, as a server
+// rebuilding its engines per epoch does, so a backend constructor that
+// materializes per-row state shows up here too. No backend is queried,
+// so the float/crossbar tiles a first query after each flip expands are
+// in neither figure. Each prototype is drawn inside the loop: one that
+// outlived the loop would be freed by the final GC and offset the
+// live-heap figure.
+func TestVersionedEnrollFootprint(t *testing.T) {
+	const n = 1000
+	v := NewVersioned(200, 1536, 1)
+	rng := rand.New(rand.NewSource(7))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		p := hdc.NewRandomBinary(rng, 1536)
+		if _, err := v.Enroll(fmt.Sprintf("enrolled-%04d", i), p); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"float", "binary", "imc"} {
+			if _, err := v.Backend(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("per enrollment: %d B live heap, %d B allocated", live, (after.TotalAlloc-before.TotalAlloc)/n)
+	if live > 1024 {
+		t.Fatalf("each enrollment keeps %d B of live heap, want <= 1024", live)
+	}
+	runtime.KeepAlive(v)
+}
+
 // The two-phase primitives: epoch numbers are idempotent request IDs —
 // duplicate prepares/commits ack, conflicting content errors, gaps
 // error.
@@ -244,9 +309,8 @@ func TestVersionedSnapshotImmutable(t *testing.T) {
 	v := NewVersioned(vtClasses, vtDim, vtSeed)
 	old := v.Snapshot()
 	oldWords := append([]uint64(nil), old.Mem.Items.Slab()...)
-	oldPhi := append([]float32(nil), old.Mem.Phi.Data...)
 
-	oldBe, err := old.Backend("float")
+	oldBe, err := old.Mem.Backend("float")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,17 +341,12 @@ func TestVersionedSnapshotImmutable(t *testing.T) {
 		}
 	}
 
-	if old.Mem.Items.Len() != vtClasses || old.Mem.Phi.Dim(0) != vtClasses {
+	if old.Mem.Items.Len() != vtClasses || len(old.Mem.Labels) != vtClasses {
 		t.Fatalf("old snapshot grew: %d items", old.Mem.Items.Len())
 	}
 	for i, w := range old.Mem.Items.Slab() {
 		if w != oldWords[i] {
 			t.Fatalf("old snapshot word %d changed", i)
-		}
-	}
-	for i, f := range old.Mem.Phi.Data {
-		if f != oldPhi[i] {
-			t.Fatalf("old snapshot phi[%d] changed", i)
 		}
 	}
 	// Old engine still serves the old ranking, byte-identical.
@@ -314,7 +373,7 @@ func TestVersionedSnapshotImmutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := s.Backend("float")
+	fresh, err := s.Mem.Backend("float")
 	if err != nil {
 		t.Fatal(err)
 	}

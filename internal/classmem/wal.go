@@ -1,10 +1,11 @@
 // Enrollment durability: a length-prefixed, CRC-framed write-ahead log
 // fsync'd before every epoch publish, plus a periodic compacted
 // snapshot so the WAL stays short-lived. The on-disk unit is the
-// enrollment record (epoch, label, packed prototype words) — phi rows
-// and norms are *derived* state, recomputed on replay by exactly the
-// Build construction, so a replayed memory is bit-identical to the
-// pre-crash one by construction rather than by copying floats around.
+// enrollment record (epoch, label, packed prototype words) — the same
+// words the in-memory store keeps as its only class representation, so
+// a replayed memory is bit-identical to the pre-crash one by
+// construction. Float and crossbar tiles are derived from the words on
+// first use, never persisted.
 //
 // WAL frame:    u32 payloadLen | u32 crc32(payload) | payload
 // enroll body:  u8 kind=1 | u64 epoch | u16 labelLen | label | u32 nwords | nwords×u64

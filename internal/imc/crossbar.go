@@ -217,27 +217,25 @@ func NewSimilarityKernel(phi *tensor.Tensor, k float32, cfg Config) *SimilarityK
 	return &SimilarityKernel{bar: bar, rowNorms: tensor.RowNorms(bar.programmed), K: k}
 }
 
-// NewSimilarityKernelRows programs only rows [lo, hi) of phi into an
-// array: one tile of a sharded deployment where the class memory is split
-// across several physical crossbars and queried in parallel (the infer
-// engine's crossbar backend). Each tile strides its noise seed by twice
-// the row offset — Program consumes two consecutive seeds (programming
-// at Seed, read noise at Seed+1), so a stride of one would alias
-// adjacent width-1 tiles' streams — keeping distinct tiles on
-// independent noise streams and a given shard layout deterministic.
-func NewSimilarityKernelRows(phi *tensor.Tensor, lo, hi int, k float32, cfg Config) *SimilarityKernel {
-	if phi.Rank() != 2 {
-		panic(fmt.Sprintf("imc.NewSimilarityKernelRows: want rank-2 phi, have %v", phi.Shape()))
+// NewSimilarityKernelRows programs rows — rows [lo, lo+rows.Dim(0)) of
+// a larger class matrix — into an array: one tile of a sharded
+// deployment where the class memory is split across several physical
+// crossbars and queried in parallel (the infer engine's crossbar
+// backend). Each tile
+// strides its noise seed by twice the row offset — Program consumes two
+// consecutive seeds (programming at Seed, read noise at Seed+1), so a
+// stride of one would alias adjacent width-1 tiles' streams — keeping
+// distinct tiles on independent noise streams and a given shard layout
+// deterministic.
+func NewSimilarityKernelRows(rows *tensor.Tensor, lo int, k float32, cfg Config) *SimilarityKernel {
+	if rows.Rank() != 2 {
+		panic(fmt.Sprintf("imc.NewSimilarityKernelRows: want rank-2 rows, have %v", rows.Shape()))
 	}
-	if lo < 0 || hi > phi.Dim(0) || lo >= hi {
-		panic(fmt.Sprintf("imc.NewSimilarityKernelRows: bad row range [%d,%d) for %d rows", lo, hi, phi.Dim(0)))
-	}
-	sub := tensor.New(hi-lo, phi.Dim(1))
-	for r := lo; r < hi; r++ {
-		copy(sub.Row(r-lo), phi.Row(r))
+	if lo < 0 || rows.Dim(0) == 0 {
+		panic(fmt.Sprintf("imc.NewSimilarityKernelRows: bad row range [%d,%d)", lo, lo+rows.Dim(0)))
 	}
 	cfg.Seed += int64(lo) * 2
-	return NewSimilarityKernel(sub, k, cfg)
+	return NewSimilarityKernel(rows, k, cfg)
 }
 
 // Rows returns the number of class rows resident in the kernel's array.

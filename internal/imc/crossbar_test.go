@@ -3,6 +3,7 @@ package imc
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -199,7 +200,8 @@ func TestSimilarityKernelRowsMatchesFullIdeal(t *testing.T) {
 	x := tensor.Randn(rng, 1, 5, d)
 	full := NewSimilarityKernel(phi, 0.5, Ideal()).Logits(x)
 	for _, rng := range [][2]int{{0, 6}, {6, 12}, {12, classes}} {
-		tile := NewSimilarityKernelRows(phi, rng[0], rng[1], 0.5, Ideal())
+		rows := tensor.FromSlice(phi.Data[rng[0]*d:rng[1]*d], rng[1]-rng[0], d)
+		tile := NewSimilarityKernelRows(rows, rng[0], 0.5, Ideal())
 		if tile.Rows() != rng[1]-rng[0] {
 			t.Fatalf("tile Rows() = %d, want %d", tile.Rows(), rng[1]-rng[0])
 		}
@@ -217,10 +219,28 @@ func TestSimilarityKernelRowsMatchesFullIdeal(t *testing.T) {
 
 func TestSimilarityKernelRowsBadRangePanics(t *testing.T) {
 	phi := tensor.Rademacher(rand.New(rand.NewSource(1)), 4, 32)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewSimilarityKernelRows accepted an empty range")
-		}
-	}()
-	NewSimilarityKernelRows(phi, 2, 2, 1, Ideal())
+	for _, tc := range []struct {
+		name string
+		rows func() *tensor.Tensor
+		lo   int
+		want string // substring of the panic message
+	}{
+		// The empty range [2,2) of phi: tensor refuses a zero-row shape
+		// before the kernel's own guard can see it.
+		{"empty range", func() *tensor.Tensor { return tensor.FromSlice(phi.Data[2*32:2*32], 0, 32) }, 2, "non-positive dimension"},
+		{"negative row offset", func() *tensor.Tensor { return phi }, -2, "bad row range"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("NewSimilarityKernelRows accepted a tile with %s", tc.name)
+				}
+				if msg, _ := r.(string); !strings.Contains(msg, tc.want) {
+					t.Fatalf("%s: panic %v, want a message containing %q", tc.name, r, tc.want)
+				}
+			}()
+			NewSimilarityKernelRows(tc.rows(), tc.lo, 1, Ideal())
+		}()
+	}
 }

@@ -25,6 +25,55 @@ func checkLabels(labels []string, classes int, who string) []string {
 	return labels
 }
 
+// --- Class-row source ----------------------------------------------------
+
+// classRows is where the float and crossbar backends read class rows
+// from: a dense [C, d] matrix (core's trained, non-bipolar embeddings)
+// or the packed sign words of an hdc.ItemMemory (classmem's
+// prototypes), expanded to exactly ±1 only when a tile is built.
+type classRows struct {
+	phi    *tensor.Tensor  // dense source, or nil
+	items  *hdc.ItemMemory // packed source, or nil
+	labels []string        // dense-source labels
+	n, d   int
+}
+
+func denseRows(phi *tensor.Tensor, labels []string, who string) classRows {
+	if phi.Rank() != 2 {
+		panic(fmt.Sprintf("infer.%s: want rank-2 phi, have %v", who, phi.Shape()))
+	}
+	return classRows{phi: phi, labels: checkLabels(labels, phi.Dim(0), who), n: phi.Dim(0), d: phi.Dim(1)}
+}
+
+func itemRows(mem *hdc.ItemMemory) classRows {
+	return classRows{items: mem, n: mem.Len(), d: mem.Dim()}
+}
+
+func (r *classRows) Classes() int { return r.n }
+func (r *classRows) Dim() int     { return r.d }
+
+func (r *classRows) Label(c int) string {
+	if r.items != nil {
+		return r.items.Label(c)
+	}
+	return r.labels[c]
+}
+
+// rows returns classes [lo, hi) as a [hi-lo, d] matrix: a zero-copy
+// view of the dense source, or the ±1 expansion of the packed words.
+//
+//hdc:coldpath tiles are built once per shard range and cached
+func (r *classRows) rows(lo, hi int) *tensor.Tensor {
+	if r.items == nil {
+		return tensor.FromSlice(r.phi.Data[lo*r.d:hi*r.d], hi-lo, r.d)
+	}
+	t := tensor.New(hi-lo, r.d)
+	for c := lo; c < hi; c++ {
+		copy(t.Row(c-lo), r.items.Vector(c).ToBipolar().Float32())
+	}
+	return t
+}
+
 // --- Float backend -------------------------------------------------------
 
 // FloatBackend is the reference real-valued path: cosine similarity
@@ -36,10 +85,8 @@ func checkLabels(labels []string, classes int, who string) []string {
 // an ideal crossbar built from the same matrix still produces
 // bit-identical scores — see imc.Crossbar.MatMulTInto).
 type FloatBackend struct {
-	phi    *tensor.Tensor // [C, d] frozen class embeddings
-	norms  *tensor.Tensor // row norms of phi
-	labels []string
-	k      float32
+	classRows
+	k float32
 
 	// caches holds the per-shard packed ϕᵀ tiles and per-shape logits
 	// pools behind one atomic pointer to an immutable snapshot (the
@@ -53,78 +100,63 @@ type FloatBackend struct {
 
 // floatCaches is one immutable cache snapshot of a FloatBackend.
 type floatCaches struct {
-	packs    map[[2]int]*tensor.PackedB // per shard range [lo, hi): packed ϕᵀ tile
-	dstPools map[[2]int]*sync.Pool      // per [probes, width]: pooled logits tensors
+	tiles    map[[2]int]*floatTile // per shard range [lo, hi)
+	dstPools map[[2]int]*sync.Pool // per [probes, width]: pooled logits tensors
+}
+
+// floatTile is one shard range's packed ϕᵀ and the L2 norms of the
+// same rows.
+type floatTile struct {
+	pb    *tensor.PackedB
+	norms []float32
 }
 
 // NewFloatBackend wraps frozen class embeddings phi [C, d] with optional
 // labels (nil → positional) and temperature k.
 func NewFloatBackend(phi *tensor.Tensor, labels []string, k float32) *FloatBackend {
-	if phi.Rank() != 2 {
-		panic(fmt.Sprintf("infer.NewFloatBackend: want rank-2 phi, have %v", phi.Shape()))
-	}
-	if k <= 0 {
-		panic("infer.NewFloatBackend: temperature must be positive")
-	}
-	return &FloatBackend{
-		phi:    phi,
-		norms:  tensor.RowNorms(phi),
-		labels: checkLabels(labels, phi.Dim(0), "NewFloatBackend"),
-		k:      k,
-	}
+	return newFloatBackend(denseRows(phi, labels, "NewFloatBackend"), k, nil)
 }
 
-// NewFloatBackendView wraps phi with caller-computed row norms instead
-// of recomputing them — the incremental path of the versioned class
-// memory, which appends one norm per enrolled row rather than
-// renormalizing every epoch. prev, when non-nil, must be the backend of
-// an earlier epoch viewing a row prefix of the same backing slab: its
-// packed ϕᵀ tiles for ranges that lie entirely inside that prefix are
-// still byte-valid (rows are immutable once published) and are carried
-// into the new backend's cache, along with all shape-keyed logits
-// pools, so an epoch flip re-packs only ranges that gained rows.
-func NewFloatBackendView(phi, norms *tensor.Tensor, labels []string, k float32, prev *FloatBackend) *FloatBackend {
-	if phi.Rank() != 2 {
-		panic(fmt.Sprintf("infer.NewFloatBackendView: want rank-2 phi, have %v", phi.Shape()))
-	}
+// NewItemFloatBackend is the float backend over the packed prototypes of
+// mem (labels from the memory). prev, when non-nil, must be the backend
+// of an earlier epoch viewing a row prefix of the same backing slab: its
+// tiles for ranges that lie entirely inside that prefix are still valid
+// (rows are immutable once published) and are carried into the new
+// backend's cache, along with all shape-keyed logits pools, so an epoch
+// flip re-packs only ranges that gained rows.
+func NewItemFloatBackend(mem *hdc.ItemMemory, k float32, prev *FloatBackend) *FloatBackend {
+	return newFloatBackend(itemRows(mem), k, prev)
+}
+
+func newFloatBackend(rows classRows, k float32, prev *FloatBackend) *FloatBackend {
 	if k <= 0 {
-		panic("infer.NewFloatBackendView: temperature must be positive")
+		panic("infer.FloatBackend: temperature must be positive")
 	}
-	if len(norms.Data) != phi.Dim(0) {
-		panic(fmt.Sprintf("infer.NewFloatBackendView: %d norms for %d rows", len(norms.Data), phi.Dim(0)))
+	b := &FloatBackend{classRows: rows, k: k}
+	if prev == nil || prev.Dim() != b.Dim() || prev.k != k {
+		return b
 	}
-	b := &FloatBackend{
-		phi:    phi,
-		norms:  norms,
-		labels: checkLabels(labels, phi.Dim(0), "NewFloatBackendView"),
-		k:      k,
-	}
-	if prev != nil && prev.Dim() == phi.Dim(1) && prev.k == k {
-		if pc := prev.caches.Load(); pc != nil {
-			carried := &floatCaches{
-				packs:    make(map[[2]int]*tensor.PackedB, len(pc.packs)),
-				dstPools: make(map[[2]int]*sync.Pool, len(pc.dstPools)),
-			}
-			//hdc:allow determinism copy-on-write into a fresh map; key order does not affect the published caches
-			for key, pb := range pc.packs {
-				if key[1] <= prev.Classes() {
-					carried.packs[key] = pb
-				}
-			}
-			//hdc:allow determinism copy-on-write into a fresh map; key order does not affect the published caches
-			for key, pool := range pc.dstPools {
-				carried.dstPools[key] = pool
-			}
-			b.caches.Store(carried)
+	if pc := prev.caches.Load(); pc != nil {
+		carried := &floatCaches{
+			tiles:    make(map[[2]int]*floatTile, len(pc.tiles)),
+			dstPools: make(map[[2]int]*sync.Pool, len(pc.dstPools)),
 		}
+		//hdc:allow determinism copy-on-write into a fresh map; key order does not affect the published caches
+		for key, t := range pc.tiles {
+			if key[1] <= prev.Classes() {
+				carried.tiles[key] = t
+			}
+		}
+		//hdc:allow determinism copy-on-write into a fresh map; key order does not affect the published caches
+		for key, pool := range pc.dstPools {
+			carried.dstPools[key] = pool
+		}
+		b.caches.Store(carried)
 	}
 	return b
 }
 
-func (b *FloatBackend) Name() string       { return "float" }
-func (b *FloatBackend) Classes() int       { return b.phi.Dim(0) }
-func (b *FloatBackend) Dim() int           { return b.phi.Dim(1) }
-func (b *FloatBackend) Label(c int) string { return b.labels[c] }
+func (b *FloatBackend) Name() string { return "float" }
 
 // Requires declares the dense-probe requirement, so the engine rejects
 // packed-only batches at the query boundary instead of panicking here.
@@ -147,12 +179,13 @@ func (b *FloatBackend) ScoreShard(batch *Batch, lo, hi int, out [][]float64) {
 	n, width := x.Dim(0), hi-lo
 	pool := b.dstPool(n, width)
 	dst := pool.Get().(*tensor.Tensor)
-	tensor.GemmInto(dst, x, nil, tensor.GemmOpts{PB: b.pack(lo, hi)})
+	t := b.tile(lo, hi)
+	tensor.GemmInto(dst, x, nil, tensor.GemmOpts{PB: t.pb})
 	for p := 0; p < n; p++ {
 		drow := dst.Row(p)
 		op := out[p]
 		for j, dot := range drow {
-			den := xn.Data[p] * b.norms.Data[lo+j] * b.k
+			den := xn.Data[p] * t.norms[j] * b.k
 			if den == 0 {
 				op[j] = 0
 				continue
@@ -163,27 +196,28 @@ func (b *FloatBackend) ScoreShard(batch *Batch, lo, hi int, out [][]float64) {
 	pool.Put(dst)
 }
 
-// pack returns the transpose-packed class tile for [lo, hi), building
-// and publishing it on first use of that shard range. phi is frozen,
-// so tiles never invalidate; hits are lock-free.
-func (b *FloatBackend) pack(lo, hi int) *tensor.PackedB {
+// tile returns the packed class tile for [lo, hi), building and
+// publishing it on first use of that shard range. Published rows are
+// immutable, so tiles never invalidate; hits are lock-free.
+func (b *FloatBackend) tile(lo, hi int) *floatTile {
 	key := [2]int{lo, hi}
 	if c := b.caches.Load(); c != nil {
-		if pb, ok := c.packs[key]; ok {
-			return pb
+		if t, ok := c.tiles[key]; ok {
+			return t
 		}
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	cur := b.caches.Load()
 	if cur != nil {
-		if pb, ok := cur.packs[key]; ok {
-			return pb
+		if t, ok := cur.tiles[key]; ok {
+			return t
 		}
 	}
-	next := cur.cloneWith(key, tensor.PackBTRows(b.phi, lo, hi), [2]int{}, nil)
-	b.caches.Store(next)
-	return next.packs[key]
+	rows := b.rows(lo, hi)
+	t := &floatTile{pb: tensor.PackBT(rows), norms: tensor.RowNorms(rows).Data}
+	b.caches.Store(cur.cloneWith(key, t, [2]int{}, nil))
+	return t
 }
 
 // dstPool returns the pool serving [n, width] logits tensors, creating
@@ -211,23 +245,23 @@ func (b *FloatBackend) dstPool(n, width int) *sync.Pool {
 
 // cloneWith copies the snapshot (nil receiver = empty) and adds the
 // non-nil entries.
-func (c *floatCaches) cloneWith(packKey [2]int, pb *tensor.PackedB, poolKey [2]int, pool *sync.Pool) *floatCaches {
+func (c *floatCaches) cloneWith(tileKey [2]int, t *floatTile, poolKey [2]int, pool *sync.Pool) *floatCaches {
 	next := &floatCaches{
-		packs:    map[[2]int]*tensor.PackedB{},
+		tiles:    map[[2]int]*floatTile{},
 		dstPools: map[[2]int]*sync.Pool{},
 	}
 	if c != nil {
 		//hdc:allow determinism copy-on-write into a fresh map; key order does not affect the published caches
-		for k, v := range c.packs {
-			next.packs[k] = v
+		for k, v := range c.tiles {
+			next.tiles[k] = v
 		}
 		//hdc:allow determinism copy-on-write into a fresh map; key order does not affect the published caches
 		for k, v := range c.dstPools {
 			next.dstPools[k] = v
 		}
 	}
-	if pb != nil {
-		next.packs[packKey] = pb
+	if t != nil {
+		next.tiles[tileKey] = t
 	}
 	if pool != nil {
 		next.dstPools[poolKey] = pool
@@ -369,10 +403,9 @@ func selectTopKDist(dists []int, lo int, invD float64, dst []Hit) {
 // lazily on first use of a shard range and cached, so programming noise
 // is drawn once per tile like real device programming.
 type CrossbarBackend struct {
-	phi    *tensor.Tensor
-	labels []string
-	k      float32
-	cfg    imc.Config
+	classRows
+	k   float32
+	cfg imc.Config
 
 	mu    sync.Mutex
 	tiles map[[2]int]*imc.SimilarityKernel
@@ -387,25 +420,24 @@ type CrossbarBackend struct {
 // NewCrossbarBackend wraps frozen class embeddings phi [C, d] with
 // optional labels, temperature k, and the analog non-ideality config.
 func NewCrossbarBackend(phi *tensor.Tensor, labels []string, k float32, cfg imc.Config) *CrossbarBackend {
-	if phi.Rank() != 2 {
-		panic(fmt.Sprintf("infer.NewCrossbarBackend: want rank-2 phi, have %v", phi.Shape()))
-	}
-	if k <= 0 {
-		panic("infer.NewCrossbarBackend: temperature must be positive")
-	}
-	return &CrossbarBackend{
-		phi:    phi,
-		labels: checkLabels(labels, phi.Dim(0), "NewCrossbarBackend"),
-		k:      k,
-		cfg:    cfg,
-		tiles:  make(map[[2]int]*imc.SimilarityKernel),
-	}
+	return newCrossbarBackend(denseRows(phi, labels, "NewCrossbarBackend"), k, cfg)
 }
 
-func (b *CrossbarBackend) Name() string       { return "imc" }
-func (b *CrossbarBackend) Classes() int       { return b.phi.Dim(0) }
-func (b *CrossbarBackend) Dim() int           { return b.phi.Dim(1) }
-func (b *CrossbarBackend) Label(c int) string { return b.labels[c] }
+// NewItemCrossbarBackend is the crossbar backend over the packed
+// prototypes of mem (labels from the memory): each tile is programmed
+// from the ±1 expansion of its rows.
+func NewItemCrossbarBackend(mem *hdc.ItemMemory, k float32, cfg imc.Config) *CrossbarBackend {
+	return newCrossbarBackend(itemRows(mem), k, cfg)
+}
+
+func newCrossbarBackend(rows classRows, k float32, cfg imc.Config) *CrossbarBackend {
+	if k <= 0 {
+		panic("infer.CrossbarBackend: temperature must be positive")
+	}
+	return &CrossbarBackend{classRows: rows, k: k, cfg: cfg, tiles: make(map[[2]int]*imc.SimilarityKernel)}
+}
+
+func (b *CrossbarBackend) Name() string { return "imc" }
 
 // Requires declares the dense-probe requirement (crossbar MVMs read
 // real-valued probe rows), so packed-only batches fail at the engine
@@ -425,7 +457,7 @@ func (b *CrossbarBackend) tile(lo, hi int) *imc.SimilarityKernel {
 	defer b.mu.Unlock()
 	t, ok := b.tiles[key]
 	if !ok {
-		t = imc.NewSimilarityKernelRows(b.phi, lo, hi, b.k, b.cfg)
+		t = imc.NewSimilarityKernelRows(b.rows(lo, hi), lo, b.k, b.cfg)
 		b.tiles[key] = t
 	}
 	return t

@@ -165,3 +165,84 @@ func TestCrossbarBackendDeterministicPerLayout(t *testing.T) {
 		}
 	}
 }
+
+// The packed row source: float and crossbar backends over an item
+// memory's sign words must score bit-for-bit like the dense backends
+// over the expanded ±1 matrix — at word-boundary dimensions, on shard
+// ranges whose widths straddle the GEMM's 16-wide panels, at every
+// worker count, and under seeded analog noise, which would drift if the
+// per-tile seed offset were applied twice or not at all.
+func TestItemRowSourceParity(t *testing.T) {
+	const classes, n, temp = 37, 5, 0.5
+	ranges := [][2]int{{0, 1}, {0, 17}, {5, 20}, {17, classes}, {0, classes}}
+	for _, d := range []int{1, 63, 64, 65, 1536, 2047} {
+		rng := rand.New(rand.NewSource(int64(d)))
+		im := hdc.NewItemMemory(d)
+		phi := tensor.New(classes, d)
+		labels := make([]string, classes)
+		for c := range labels {
+			labels[c] = fmt.Sprintf("class%d", c)
+			v := hdc.NewRandomBinary(rng, d)
+			im.Store(labels[c], v)
+			copy(phi.Row(c), v.ToBipolar().Float32())
+		}
+		batch := DenseBatch(tensor.Randn(rng, 1, n, d))
+		for _, pair := range []struct {
+			name         string
+			dense, items Backend
+		}{
+			{"float", NewFloatBackend(phi, labels, temp), NewItemFloatBackend(im, temp, nil)},
+			{"imc-ideal", NewCrossbarBackend(phi, labels, temp, imc.Ideal()), NewItemCrossbarBackend(im, temp, imc.Ideal())},
+			{"imc-pcm", NewCrossbarBackend(phi, labels, temp, imc.TypicalPCM()), NewItemCrossbarBackend(im, temp, imc.TypicalPCM())},
+		} {
+			for _, r := range ranges {
+				want, got := scoreShard(pair.dense, batch, r), scoreShard(pair.items, batch, r)
+				for p := range want {
+					for j := range want[p] {
+						if math.Float64bits(got[p][j]) != math.Float64bits(want[p][j]) {
+							t.Fatalf("d=%d %s [%d,%d) probe %d class %d: items %v, dense %v",
+								d, pair.name, r[0], r[1], p, r[0]+j, got[p][j], want[p][j])
+						}
+					}
+				}
+			}
+			for _, workers := range []int{1, 3, 4} {
+				want := New(pair.dense, WithWorkers(workers)).Query(batch, classes)
+				got := New(pair.items, WithWorkers(workers)).Query(batch, classes)
+				for p := range want {
+					for i := range want[p].TopK {
+						if got[p].TopK[i] != want[p].TopK[i] {
+							t.Fatalf("d=%d %s workers=%d probe %d rank %d: items %+v, dense %+v",
+								d, pair.name, workers, p, i, got[p].TopK[i], want[p].TopK[i])
+						}
+					}
+				}
+			}
+		}
+		// Pin the offset itself: a tile at row lo draws exactly the noise
+		// imc assigns to a tile programmed at that offset.
+		for _, r := range ranges {
+			rows := tensor.FromSlice(phi.Data[r[0]*d:r[1]*d], r[1]-r[0], d)
+			want := imc.NewSimilarityKernelRows(rows, r[0], temp, imc.TypicalPCM()).Logits(batch.Dense)
+			got := scoreShard(NewItemCrossbarBackend(im, temp, imc.TypicalPCM()), batch, r)
+			for p := range got {
+				for j, v := range got[p] {
+					if v != float64(want.At(p, j)) {
+						t.Fatalf("d=%d noisy tile [%d,%d) probe %d class %d: %v, imc %v",
+							d, r[0], r[1], p, r[0]+j, v, want.At(p, j))
+					}
+				}
+			}
+		}
+	}
+}
+
+// scoreShard runs one ScoreShard call over range r into fresh rows.
+func scoreShard(be Backend, batch *Batch, r [2]int) [][]float64 {
+	out := make([][]float64, batch.Len())
+	for p := range out {
+		out[p] = make([]float64, r[1]-r[0])
+	}
+	be.ScoreShard(batch, r[0], r[1], out)
+	return out
+}

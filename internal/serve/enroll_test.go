@@ -59,7 +59,7 @@ func TestCoalescerSwapQuerierGrowth(t *testing.T) {
 	co := NewCoalescer(eng0, Config{MaxBatch: 4})
 	defer co.Close()
 
-	probe := v.Snapshot().Mem.Phi.Row(3)
+	probe := v.Snapshot().Mem.Items.Vector(3).ToBipolar().Float32()
 	res, epoch, err := co.ClassifyEpoch(context.Background(), Probe{Dense: probe}, 1)
 	if err != nil || epoch != 0 || res.TopK[0].Class != 3 {
 		t.Fatalf("pre-enroll: res=%+v epoch=%d err=%v", res, epoch, err)
