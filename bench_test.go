@@ -443,7 +443,7 @@ func BenchmarkEndToEndClassify(b *testing.B) {
 
 // BenchmarkCompiledInfer times the frozen-graph compiler's plan (BN
 // folded, epilogues fused, zero-alloc buffer schedule) on the embedding
-// hot path's batch-32 encoder call. Archived in BENCH_pr5.json.
+// hot path's batch-32 encoder call.
 func BenchmarkCompiledInfer(b *testing.B) {
 	const d, img = 1536, 16
 	rng := rand.New(rand.NewSource(13))
@@ -464,7 +464,7 @@ func BenchmarkCompiledInfer(b *testing.B) {
 // GEMMs with fused dequant/bias/ReLU/residual epilogues and int8
 // activations between plan steps, vs the f32 plan those steps were
 // derived from. Both rows are warm-plan, zero-alloc, and bitwise
-// deterministic across worker budgets. Archived in BENCH_pr6.json.
+// deterministic across worker budgets.
 func BenchmarkQuantizedInfer(b *testing.B) {
 	const d, img = 1536, 16
 	rng := rand.New(rand.NewSource(13))
@@ -495,8 +495,7 @@ func BenchmarkQuantizedInfer(b *testing.B) {
 // pack.go) over square and pipeline-shaped products: the conv-shaped
 // sizes are the batched im2col products of the micro ResNet embedding
 // path (M=outC, K=inC·kH·kW, N=batch·oh·ow) and the projection matmul.
-// The MB/s column reports FLOP/s (2·m·k·n "bytes" per op). Archived in
-// BENCH_pr4.json by scripts/bench.sh to track the kernel PR over PR.
+// The MB/s column reports FLOP/s (2·m·k·n "bytes" per op).
 func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(21))
 	for _, sh := range tensor.GemmBenchShapes {

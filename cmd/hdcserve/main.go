@@ -56,8 +56,8 @@
 // Overload: the coalescers shed requests past the -watermark queue
 // depth (HTTP 429 + Retry-After) instead of queuing without bound, so
 // the latency of accepted requests stays bounded at any offered load;
-// -watermark 0 restores blocking backpressure. cmd/hdcload is the
-// matching open-loop harness.
+// -watermark 0 restores blocking backpressure. benchmark/run.sh drives
+// it with open-loop traffic.
 //
 // Hot reload: SIGHUP or POST /v1/reload rebuilds the class-memory
 // engines and embedders from the startup seed and atomically swaps them

@@ -1,17 +1,16 @@
 // Package lat provides the lock-free log-bucketed latency histogram
-// shared by the serving layer's per-stage timing (/stats), the
-// distributed router's shard round-trip tracking, and cmd/hdcload's
-// client-side open-loop measurements.
+// shared by the serving layer's per-stage timing (/stats) and the
+// distributed router's shard round-trip tracking.
 //
 // The layout is HDR-style log-linear: durations bucket by the position
 // of their highest set bit (one octave per power of two of nanoseconds)
 // subdivided into 16 linear sub-buckets, so any recorded value is
-// reproduced by Quantile with at most ~6.25% relative error while
-// Observe stays one atomic add on a fixed-size array — no locks, no
-// allocation, safe for any number of concurrent recorders. That cheap
-// Observe is the point: the coalescer and router call it on their hot
-// paths, where a mutex-guarded reservoir would serialize exactly the
-// traffic the histogram is supposed to measure.
+// reproduced by the snapshot's quantiles with at most ~6.25% relative
+// error while Observe stays one atomic add on a fixed-size array — no
+// locks, no allocation, safe for any number of concurrent recorders.
+// That cheap Observe is the point: the coalescer and router call it on
+// their hot paths, where a mutex-guarded reservoir would serialize
+// exactly the traffic the histogram is supposed to measure.
 package lat
 
 import (
@@ -150,7 +149,3 @@ func (s *Snapshot) quantile(q float64) float64 {
 	}
 	return s.Max
 }
-
-// Quantile exposes arbitrary quantiles for callers (cmd/hdcload's
-// report) beyond the canned fields.
-func (s *Snapshot) Quantile(q float64) float64 { return s.quantile(q) }

@@ -58,7 +58,7 @@ func TestQuantiles(t *testing.T) {
 		t.Fatalf("count %d", s.Count)
 	}
 	check := func(q, want float64) {
-		got := s.Quantile(q)
+		got := s.quantile(q)
 		if got < want*0.90 || got > want*1.05 {
 			t.Fatalf("q%.3f = %.3fms, want ≈ %.3fms", q, got, want)
 		}
@@ -81,7 +81,7 @@ func TestQuantiles(t *testing.T) {
 func TestEmptySnapshot(t *testing.T) {
 	var h Hist
 	s := h.Snapshot()
-	if s.Count != 0 || s.P99 != 0 || s.Mean != 0 || s.Quantile(0.5) != 0 {
+	if s.Count != 0 || s.P99 != 0 || s.Mean != 0 || s.quantile(0.5) != 0 {
 		t.Fatalf("empty snapshot not zero: %+v", s)
 	}
 }

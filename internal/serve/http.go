@@ -160,7 +160,7 @@ type embedderStats struct {
 // statsResponse is the GET /stats reply: per-model coalescer counters
 // and stage histograms (queue wait, readout) beside per-embedder embed
 // timings — the internal decomposition of the external latency
-// cmd/hdcload measures.
+// the benchmark/ harness measures.
 type statsResponse struct {
 	Models    map[string]modelStats    `json:"models"`
 	Embedders map[string]embedderStats `json:"embedders,omitempty"`

@@ -155,8 +155,8 @@ type Stats struct {
 	InFlight     int64   `json:"in_flight"`     // batches currently executing on the engine
 	QueueDepth   int64   `json:"queue_depth"`   // probes admitted but not yet dispatched
 
-	// Per-stage latency histograms, the internal decomposition of what
-	// cmd/hdcload measures externally: how long probes waited in the
+	// Per-stage latency histograms, the internal decomposition of the
+	// end-to-end latency a client sees: how long probes waited in the
 	// admission queue, and how long engine/router readout took per batch.
 	QueueWait *lat.Snapshot `json:"queue_wait,omitempty"`
 	Readout   *lat.Snapshot `json:"readout,omitempty"`

@@ -290,9 +290,8 @@ type GemmBenchShape struct {
 }
 
 // GemmBenchShapes is the one definition of the sweep, shared by the
-// in-package packed-vs-reference benchmarks and the root BenchmarkGEMM
-// that scripts/bench.sh archives — so the archived JSON and the kernel
-// comparison can never drift apart.
+// in-package packed-vs-reference benchmarks and the root BenchmarkGEMM,
+// so the two sweeps can never drift apart.
 var GemmBenchShapes = []GemmBenchShape{
 	{"sq128", 128, 128, 128},
 	{"sq256", 256, 256, 256},

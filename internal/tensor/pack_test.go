@@ -347,7 +347,7 @@ func TestGemmSlicesSubPlane(t *testing.T) {
 }
 
 // The benchmarks sweep GemmBenchShapes (pack.go) — the same table the
-// root BenchmarkGEMM archives via scripts/bench.sh.
+// root BenchmarkGEMM sweeps.
 
 func BenchmarkGEMMPacked(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
