@@ -37,33 +37,15 @@ func (f *Finetag) Params() []*nn.Param {
 // Train fits the baseline with plain BCE on the split's training
 // instances and returns the final epoch loss.
 func (f *Finetag) Train(d *dataset.SynthCUB, split dataset.Split, cfg core.TrainConfig) float32 {
-	rng := rand.New(rand.NewSource(cfg.Seed + 11))
-	it := dataset.NewBatchIterator(d, split.Train, split.TrainClasses, cfg.Batch, nil, rng)
-	params := f.Params()
-	opt := nn.NewAdamW(cfg.LR, cfg.WeightDecay)
-	perEpoch := it.BatchesPerEpoch()
-	sched := nn.NewCosineAnnealingLR(cfg.LR, cfg.LRMin, maxInt(cfg.Epochs*perEpoch, 1))
-	var last float32
-	step := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		var sum float64
-		for b := 0; b < perEpoch; b++ {
-			batch := it.Next()
-			nn.ZeroGrads(params)
-			logits := f.Head.Forward(f.Image.Forward(batch.Images, true), true)
-			loss, dl := nn.BCEWithLogits(logits, batch.Attrs, nil) // unweighted: the Finetag contrast
-			f.Image.Backward(f.Head.Backward(dl))
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(params, cfg.ClipNorm)
-			}
-			sched.Apply(opt, step)
-			opt.Step(params)
-			step++
-			sum += float64(loss)
-		}
-		last = float32(sum / float64(perEpoch))
-	}
-	return last
+	it := dataset.NewBatchIterator(d, split.Train, split.TrainClasses, cfg.Batch, nil,
+		rand.New(rand.NewSource(cfg.Seed+11)))
+	return core.Fit(f.Params(), cfg, it.BatchesPerEpoch(), nil, func(int) float64 {
+		batch := it.Next()
+		logits := f.Head.Forward(f.Image.Forward(batch.Images, true), true)
+		loss, dl := nn.BCEWithLogits(logits, batch.Attrs, nil) // unweighted: the Finetag contrast
+		f.Image.Backward(f.Head.Backward(dl))
+		return float64(loss)
+	})
 }
 
 // Scores returns [N, α] attribute logits and targets over the given
@@ -78,7 +60,7 @@ func (f *Finetag) Scores(d *dataset.SynthCUB, idx []int) (scores, targets *tenso
 	}
 	const batch = 32
 	for at := 0; at < len(idx); at += batch {
-		end := minInt(at+batch, len(idx))
+		end := min(at+batch, len(idx))
 		b := d.MakeBatch(idx[at:end], labelOf, nil, nil)
 		logits := f.Head.Forward(f.Image.Forward(b.Images, false), false)
 		for i := 0; i < end-at; i++ {
@@ -127,53 +109,35 @@ func (a *A3M) Params() []*nn.Param {
 
 // Train fits per-group softmax classification on the training instances.
 func (a *A3M) Train(d *dataset.SynthCUB, split dataset.Split, cfg core.TrainConfig) float32 {
-	rng := rand.New(rand.NewSource(cfg.Seed + 13))
-	it := dataset.NewBatchIterator(d, split.Train, split.TrainClasses, cfg.Batch, nil, rng)
-	params := a.Params()
-	opt := nn.NewAdamW(cfg.LR, cfg.WeightDecay)
-	perEpoch := it.BatchesPerEpoch()
-	sched := nn.NewCosineAnnealingLR(cfg.LR, cfg.LRMin, maxInt(cfg.Epochs*perEpoch, 1))
-	var last float32
-	step := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		var sum float64
-		for b := 0; b < perEpoch; b++ {
-			batch := it.Next()
-			nn.ZeroGrads(params)
-			emb := a.Image.Forward(batch.Images, true)
-			dEmb := tensor.New(emb.Shape()...)
-			var lossSum float32
-			for g, head := range a.Heads {
-				off := a.Schema.GroupAttrOffset[g]
-				size := len(a.Schema.Groups[g].Values)
-				// Ground-truth value slot per sample for this group.
-				labels := make([]int, batch.Attrs.Dim(0))
-				for i := range labels {
-					row := batch.Attrs.Row(i)[off : off+size]
-					for vi, v := range row {
-						if v == 1 {
-							labels[i] = vi
-							break
-						}
+	it := dataset.NewBatchIterator(d, split.Train, split.TrainClasses, cfg.Batch, nil,
+		rand.New(rand.NewSource(cfg.Seed+13)))
+	return core.Fit(a.Params(), cfg, it.BatchesPerEpoch(), nil, func(int) float64 {
+		batch := it.Next()
+		emb := a.Image.Forward(batch.Images, true)
+		dEmb := tensor.New(emb.Shape()...)
+		var lossSum float32
+		for g, head := range a.Heads {
+			off := a.Schema.GroupAttrOffset[g]
+			size := len(a.Schema.Groups[g].Values)
+			// Ground-truth value slot per sample for this group.
+			labels := make([]int, batch.Attrs.Dim(0))
+			for i := range labels {
+				row := batch.Attrs.Row(i)[off : off+size]
+				for vi, v := range row {
+					if v == 1 {
+						labels[i] = vi
+						break
 					}
 				}
-				logits := head.Forward(emb, true)
-				loss, dl := nn.SoftmaxCrossEntropy(logits, labels)
-				lossSum += loss
-				tensor.AddInPlace(dEmb, head.Backward(dl))
 			}
-			a.Image.Backward(dEmb)
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(params, cfg.ClipNorm)
-			}
-			sched.Apply(opt, step)
-			opt.Step(params)
-			step++
-			sum += float64(lossSum) / float64(len(a.Heads))
+			logits := head.Forward(emb, true)
+			loss, dl := nn.SoftmaxCrossEntropy(logits, labels)
+			lossSum += loss
+			tensor.AddInPlace(dEmb, head.Backward(dl))
 		}
-		last = float32(sum / float64(perEpoch))
-	}
-	return last
+		a.Image.Backward(dEmb)
+		return float64(lossSum) / float64(len(a.Heads))
+	})
 }
 
 // Scores returns [N, α] per-attribute scores (group-wise softmax
@@ -188,14 +152,14 @@ func (a *A3M) Scores(d *dataset.SynthCUB, idx []int) (scores, targets *tensor.Te
 	}
 	const batch = 32
 	for at := 0; at < len(idx); at += batch {
-		end := minInt(at+batch, len(idx))
+		end := min(at+batch, len(idx))
 		b := d.MakeBatch(idx[at:end], labelOf, nil, nil)
 		emb := a.Image.Forward(b.Images, false)
 		for g, head := range a.Heads {
 			off := a.Schema.GroupAttrOffset[g]
 			probs := tensor.SoftmaxRows(head.Forward(emb, false))
 			for i := 0; i < end-at; i++ {
-				copy(scores.Row(at+i)[off:off+probs.Dim(1)], probs.Row(i))
+				copy(scores.Row(at + i)[off:off+probs.Dim(1)], probs.Row(i))
 			}
 		}
 		for i := 0; i < end-at; i++ {
@@ -203,18 +167,4 @@ func (a *A3M) Scores(d *dataset.SynthCUB, idx []int) (scores, targets *tensor.Te
 		}
 	}
 	return scores, targets
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -33,7 +33,7 @@ type FeatGenConfig struct {
 	// GenEpochs and ClsEpochs control the two training stages.
 	GenEpochs, ClsEpochs int
 	// LR is shared by both stages (AdamW).
-	LR float32
+	LR   float32
 	Seed int64
 }
 
@@ -73,31 +73,30 @@ func RunFeatGen(img *core.ImageEncoder, d *dataset.SynthCUB, split dataset.Split
 		nn.NewLinear(rng, cfg.Name+".gen2", cfg.HiddenGen, f, true),
 	)
 	genParams := gen.Params()
-	opt := nn.NewAdamW(cfg.LR, 1e-4)
+	// Both stages train at a constant learning rate: LRMin = LR pins the
+	// cosine schedule to LR, and nothing is clipped.
+	fit := core.TrainConfig{Epochs: cfg.GenEpochs, LR: cfg.LR, LRMin: cfg.LR, WeightDecay: 1e-4}
 	n := feats.Dim(0)
 	order := rng.Perm(n)
 	const batch = 16
-	for epoch := 0; epoch < cfg.GenEpochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for at := 0; at < n; at += batch {
-			end := minInt(at+batch, n)
-			ids := order[at:end]
-			in := tensor.New(len(ids), alpha+cfg.NoiseDim)
-			target := tensor.New(len(ids), f)
-			for i, id := range ids {
-				copy(in.Row(i)[:alpha], trainAttr.Row(labels[id]))
-				for z := 0; z < cfg.NoiseDim; z++ {
-					in.Row(i)[alpha+z] = float32(rng.NormFloat64())
-				}
-				copy(target.Row(i), feats.Row(id))
-			}
-			nn.ZeroGrads(genParams)
-			out := gen.Forward(in, true)
-			_, dout := nn.MSE(out, target)
-			gen.Backward(dout)
-			opt.Step(genParams)
+	core.Fit(genParams, fit, (n+batch-1)/batch, nil, func(b int) float64 {
+		if b == 0 {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		}
-	}
+		ids := order[b*batch : min(b*batch+batch, n)]
+		in := tensor.New(len(ids), alpha+cfg.NoiseDim)
+		target := tensor.New(len(ids), f)
+		for i, id := range ids {
+			copy(in.Row(i)[:alpha], trainAttr.Row(labels[id]))
+			for z := 0; z < cfg.NoiseDim; z++ {
+				in.Row(i)[alpha+z] = float32(rng.NormFloat64())
+			}
+			copy(target.Row(i), feats.Row(id))
+		}
+		_, dout := nn.MSE(gen.Forward(in, true), target)
+		gen.Backward(dout)
+		return 0
+	})
 
 	// --- Stage 2: synthesize unseen-class features. ---
 	cTr, cTe := len(split.TrainClasses), len(split.TestClasses)
@@ -125,7 +124,6 @@ func RunFeatGen(img *core.ImageEncoder, d *dataset.SynthCUB, split dataset.Split
 		nn.NewLinear(rng, cfg.Name+".cls2", cfg.HiddenCls, cTr+cTe, true),
 	)
 	clsParams := cls.Params()
-	optC := nn.NewAdamW(cfg.LR, 1e-4)
 	total := n + synthN
 	allOrder := rng.Perm(total)
 	rowOf := func(i int) ([]float32, int) {
@@ -134,25 +132,23 @@ func RunFeatGen(img *core.ImageEncoder, d *dataset.SynthCUB, split dataset.Split
 		}
 		return synthFeats.Row(i - n), synthLabels[i-n]
 	}
-	for epoch := 0; epoch < cfg.ClsEpochs; epoch++ {
-		rng.Shuffle(len(allOrder), func(i, j int) { allOrder[i], allOrder[j] = allOrder[j], allOrder[i] })
-		for at := 0; at < total; at += batch {
-			end := minInt(at+batch, total)
-			ids := allOrder[at:end]
-			in := tensor.New(len(ids), f)
-			ls := make([]int, len(ids))
-			for i, id := range ids {
-				row, l := rowOf(id)
-				copy(in.Row(i), row)
-				ls[i] = l
-			}
-			nn.ZeroGrads(clsParams)
-			logits := cls.Forward(in, true)
-			_, dl := nn.SoftmaxCrossEntropy(logits, ls)
-			cls.Backward(dl)
-			optC.Step(clsParams)
+	fit.Epochs = cfg.ClsEpochs
+	core.Fit(clsParams, fit, (total+batch-1)/batch, nil, func(b int) float64 {
+		if b == 0 {
+			rng.Shuffle(len(allOrder), func(i, j int) { allOrder[i], allOrder[j] = allOrder[j], allOrder[i] })
 		}
-	}
+		ids := allOrder[b*batch : min(b*batch+batch, total)]
+		in := tensor.New(len(ids), f)
+		ls := make([]int, len(ids))
+		for i, id := range ids {
+			row, l := rowOf(id)
+			copy(in.Row(i), row)
+			ls[i] = l
+		}
+		_, dl := nn.SoftmaxCrossEntropy(cls.Forward(in, true), ls)
+		cls.Backward(dl)
+		return 0
+	})
 
 	// --- Evaluate on real unseen-class instances. ---
 	testFeats, testLabels := encodeAll(img, d, split.Test, split.TestClasses)

@@ -57,28 +57,13 @@ func RunTCN(d *dataset.SynthCUB, split dataset.Split, cfg TCNConfig) TCNResult {
 // trainContrastive optimizes all model parameters (backbone included)
 // under the batch-contrastive similarity objective.
 func trainContrastive(m *core.Model, d *dataset.SynthCUB, split dataset.Split, cfg core.TrainConfig) {
-	rng := rand.New(rand.NewSource(cfg.Seed + 23))
-	it := dataset.NewBatchIterator(d, split.Train, split.TrainClasses, cfg.Batch, nil, rng)
+	it := dataset.NewBatchIterator(d, split.Train, split.TrainClasses, cfg.Batch, nil,
+		rand.New(rand.NewSource(cfg.Seed+23)))
 	trainAttr := d.ClassAttrRows(split.TrainClasses)
-	params := m.Params()
-	opt := nn.NewAdamW(cfg.LR, cfg.WeightDecay)
-	perEpoch := it.BatchesPerEpoch()
-	sched := nn.NewCosineAnnealingLR(cfg.LR, cfg.LRMin, maxInt(cfg.Epochs*perEpoch, 1))
-	step := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for b := 0; b < perEpoch; b++ {
-			batch := it.Next()
-			nn.ZeroGrads(params)
-			logits := m.Logits(batch.Images, trainAttr, true)
-			_, dl := nn.SoftmaxCrossEntropy(logits, batch.Labels)
-			m.Backward(dl)
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(params, cfg.ClipNorm)
-			}
-			sched.Apply(opt, step)
-			opt.Step(params)
-			m.Kernel.ClampTemperature(1e-3, 100)
-			step++
-		}
-	}
+	core.Fit(m.Params(), cfg, it.BatchesPerEpoch(), m.Kernel, func(int) float64 {
+		batch := it.Next()
+		_, dl := nn.SoftmaxCrossEntropy(m.Logits(batch.Images, trainAttr, true), batch.Labels)
+		m.Backward(dl)
+		return 0
+	})
 }

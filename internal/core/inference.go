@@ -121,7 +121,7 @@ func engineAccuracy(m *Model, d *dataset.SynthCUB, eng *infer.Engine,
 	compiled := m.Image.EvalNet()
 	embed := func(sc *nn.Scratch, bi int) (*tensor.Tensor, []int) {
 		at := bi * batchSize
-		end := minInt(at+batchSize, len(idx))
+		end := min(at+batchSize, len(idx))
 		batch := d.MakeBatch(idx[at:end], labelOf, nil, nil)
 		return compiled.Infer(batch.Images, sc), batch.Labels
 	}

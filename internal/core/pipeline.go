@@ -26,8 +26,6 @@ type PipelineConfig struct {
 	MLPHidden int
 	// PhaseI/II/III are the per-phase training configurations.
 	PhaseI, PhaseII, PhaseIII TrainConfig
-	// SkipPhaseI disables classification pre-training (ablations).
-	SkipPhaseI bool
 	// Seed drives model initialization and codebook generation.
 	Seed int64
 }
@@ -99,13 +97,13 @@ type PipelineResult struct {
 }
 
 // Run executes the full three-phase methodology on the given data and
-// split: phase I on pretrain (if provided and not skipped), phase II
+// split: phase I on pretrain (skipped when pretrain is nil), phase II
 // attribute extraction, phase III ZSC fine-tuning, then zero-shot
 // evaluation on the split's unseen test classes.
 func (c PipelineConfig) Run(d *dataset.SynthCUB, split dataset.Split, pretrain *dataset.SynthImageNet) (*Model, PipelineResult) {
 	model, hdcEnc := c.Build(d.Schema)
 	var res PipelineResult
-	if pretrain != nil && !c.SkipPhaseI {
+	if pretrain != nil {
 		res.PhaseIAccuracy = PretrainClassification(model.Image, pretrain, c.PhaseI)
 	}
 	// Phase II needs the FC projection; without it the paper skips stage II

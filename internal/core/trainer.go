@@ -42,6 +42,38 @@ func DefaultTrainConfig() TrainConfig {
 	}
 }
 
+// Fit owns the step policy every training loop of the paper and its
+// baselines shares: cfg.Epochs epochs of perEpoch steps, each one
+// ZeroGrads → step(b) (forward, loss and backward of the epoch's b-th
+// batch) → global-norm clipping when cfg.ClipNorm > 0 → the cosine-
+// annealed learning rate → one AdamW step → the temperature clamp when
+// kernel is not nil. It returns the last epoch's mean step value.
+// step owns every RNG draw, so an epoch-start shuffle goes in step(0).
+func Fit(params []*nn.Param, cfg TrainConfig, perEpoch int, kernel *SimilarityKernel, step func(b int) float64) float32 {
+	opt := nn.NewAdamW(cfg.LR, cfg.WeightDecay)
+	sched := nn.NewCosineAnnealingLR(cfg.LR, cfg.LRMin, max(cfg.Epochs*perEpoch, 1))
+	var last float32
+	t := 0
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		var sum float64
+		for b := 0; b < perEpoch; b++ {
+			nn.ZeroGrads(params)
+			sum += step(b)
+			if cfg.ClipNorm > 0 {
+				nn.ClipGradNorm(params, cfg.ClipNorm)
+			}
+			sched.Apply(opt, t)
+			opt.Step(params)
+			if kernel != nil {
+				kernel.ClampTemperature(1e-3, 100)
+			}
+			t++
+		}
+		last = float32(sum / float64(perEpoch))
+	}
+	return last
+}
+
 // PretrainClassification is phase I (Fig. 2a): supervised classification
 // pre-training of the backbone through a temporary FC′ softmax head,
 // playing the role of ImageNet1K pre-training. The head is discarded;
@@ -51,40 +83,30 @@ func PretrainClassification(img *ImageEncoder, data *dataset.SynthImageNet, cfg 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	head := nn.NewLinear(rng, "fcprime", img.Backbone.OutDim(), data.NumClasses, true)
 	params := append(append([]*nn.Param{}, img.Backbone.Params()...), head.Params()...)
-	opt := nn.NewAdamW(cfg.LR, cfg.WeightDecay)
-	steps := cfg.Epochs * ((data.Len() + cfg.Batch - 1) / cfg.Batch)
-	sched := nn.NewCosineAnnealingLR(cfg.LR, cfg.LRMin, maxInt(steps, 1))
-
 	order := rng.Perm(data.Len())
-	step := 0
-	var lastAcc float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var hits, total int
-		for at := 0; at < len(order); at += cfg.Batch {
-			end := minInt(at+cfg.Batch, len(order))
-			images, labels := data.Batch(order[at:end])
-			nn.ZeroGrads(params)
-			emb := img.Backbone.Forward(images, true)
-			logits := head.Forward(emb, true)
-			_, dlogits := nn.SoftmaxCrossEntropy(logits, labels)
-			img.Backbone.Backward(head.Backward(dlogits))
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(params, cfg.ClipNorm)
-			}
-			sched.Apply(opt, step)
-			opt.Step(params)
-			step++
-			for i, p := range tensor.ArgMax(logits) {
-				if p == labels[i] {
-					hits++
-				}
-			}
-			total += len(labels)
+	var hits, total int
+	Fit(params, cfg, (len(order)+cfg.Batch-1)/cfg.Batch, nil, func(b int) float64 {
+		if b == 0 {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			hits, total = 0, 0
 		}
-		lastAcc = float64(hits) / float64(total)
+		at := b * cfg.Batch
+		images, labels := data.Batch(order[at:min(at+cfg.Batch, len(order))])
+		logits := head.Forward(img.Backbone.Forward(images, true), true)
+		_, dlogits := nn.SoftmaxCrossEntropy(logits, labels)
+		img.Backbone.Backward(head.Backward(dlogits))
+		for i, p := range tensor.ArgMax(logits) {
+			if p == labels[i] {
+				hits++
+			}
+		}
+		total += len(labels)
+		return 0
+	})
+	if total == 0 {
+		return 0
 	}
-	return lastAcc
+	return float64(hits) / float64(total)
 }
 
 // TrainAttributeExtraction is phase II (Fig. 2b): the image encoder
@@ -96,47 +118,31 @@ func PretrainClassification(img *ImageEncoder, data *dataset.SynthImageNet, cfg 
 func TrainAttributeExtraction(img *ImageEncoder, kernel *SimilarityKernel, dict *tensor.Tensor,
 	d *dataset.SynthCUB, split dataset.Split, cfg TrainConfig) float32 {
 
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	var aug *dataset.Augmentor
-	if cfg.Augment {
-		a := dataset.DefaultAugmentor()
-		aug = &a
-	}
-	it := dataset.NewBatchIterator(d, split.Train, split.TrainClasses, cfg.Batch, aug, rng)
+	it := dataset.NewBatchIterator(d, split.Train, split.TrainClasses, cfg.Batch,
+		augmentor(cfg), rand.New(rand.NewSource(cfg.Seed+1)))
 
 	// Positive weights from the training targets (#neg/#pos per attribute).
 	all := d.MakeBatch(split.Train, dataset.ClassIndexMap(split.TrainClasses), nil, nil)
 	posW := nn.PosWeights(all.Attrs, cfg.MaxPosWeight)
 
 	params := append(append([]*nn.Param{}, img.Params()...), kernel.Params()...)
-	opt := nn.NewAdamW(cfg.LR, cfg.WeightDecay)
-	perEpoch := it.BatchesPerEpoch()
-	sched := nn.NewCosineAnnealingLR(cfg.LR, cfg.LRMin, maxInt(cfg.Epochs*perEpoch, 1))
+	return Fit(params, cfg, it.BatchesPerEpoch(), kernel, func(int) float64 {
+		batch := it.Next()
+		q := kernel.Forward(img.Forward(batch.Images, true), dict)
+		loss, dq := nn.BCEWithLogits(q, batch.Attrs, posW)
+		dx, _ := kernel.Backward(dq) // dictionary is stationary
+		img.Backward(dx)
+		return float64(loss)
+	})
+}
 
-	var last float32
-	step := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		var sum float64
-		for b := 0; b < perEpoch; b++ {
-			batch := it.Next()
-			nn.ZeroGrads(params)
-			emb := img.Forward(batch.Images, true)
-			q := kernel.Forward(emb, dict)
-			loss, dq := nn.BCEWithLogits(q, batch.Attrs, posW)
-			dx, _ := kernel.Backward(dq) // dictionary is stationary
-			img.Backward(dx)
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(params, cfg.ClipNorm)
-			}
-			sched.Apply(opt, step)
-			opt.Step(params)
-			kernel.ClampTemperature(1e-3, 100)
-			step++
-			sum += float64(loss)
-		}
-		last = float32(sum / float64(perEpoch))
+// augmentor returns the paper's augmentation pipeline when cfg enables it.
+func augmentor(cfg TrainConfig) *dataset.Augmentor {
+	if !cfg.Augment {
+		return nil
 	}
-	return last
+	a := dataset.DefaultAugmentor()
+	return &a
 }
 
 // TrainZSC is phase III (Fig. 2c): the FC projection (and the attribute
@@ -161,42 +167,15 @@ func TrainZSC(m *Model, d *dataset.SynthCUB, split dataset.Split, cfg TrainConfi
 // trainZSCEndToEnd trains all image-encoder parameters (used when no
 // projection FC exists).
 func trainZSCEndToEnd(m *Model, d *dataset.SynthCUB, split dataset.Split, cfg TrainConfig) float32 {
-	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	var aug *dataset.Augmentor
-	if cfg.Augment {
-		a := dataset.DefaultAugmentor()
-		aug = &a
-	}
-	it := dataset.NewBatchIterator(d, split.Train, split.TrainClasses, cfg.Batch, aug, rng)
+	it := dataset.NewBatchIterator(d, split.Train, split.TrainClasses, cfg.Batch,
+		augmentor(cfg), rand.New(rand.NewSource(cfg.Seed+2)))
 	trainAttr := d.ClassAttrRows(split.TrainClasses)
-
-	params := m.Params()
-	opt := nn.NewAdamW(cfg.LR, cfg.WeightDecay)
-	perEpoch := it.BatchesPerEpoch()
-	sched := nn.NewCosineAnnealingLR(cfg.LR, cfg.LRMin, maxInt(cfg.Epochs*perEpoch, 1))
-
-	var last float32
-	step := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		var sum float64
-		for b := 0; b < perEpoch; b++ {
-			batch := it.Next()
-			nn.ZeroGrads(params)
-			logits := m.Logits(batch.Images, trainAttr, true)
-			loss, dlogits := nn.SoftmaxCrossEntropy(logits, batch.Labels)
-			m.Backward(dlogits)
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(params, cfg.ClipNorm)
-			}
-			sched.Apply(opt, step)
-			opt.Step(params)
-			m.Kernel.ClampTemperature(1e-3, 100)
-			step++
-			sum += float64(loss)
-		}
-		last = float32(sum / float64(perEpoch))
-	}
-	return last
+	return Fit(m.Params(), cfg, it.BatchesPerEpoch(), m.Kernel, func(int) float64 {
+		batch := it.Next()
+		loss, dlogits := nn.SoftmaxCrossEntropy(m.Logits(batch.Images, trainAttr, true), batch.Labels)
+		m.Backward(dlogits)
+		return float64(loss)
+	})
 }
 
 // trainZSCCached freezes the backbone, caches its inference-mode features
@@ -213,7 +192,7 @@ func trainZSCCached(m *Model, d *dataset.SynthCUB, split dataset.Split, cfg Trai
 	labels := make([]int, n)
 	const encBatch = 32
 	for at := 0; at < n; at += encBatch {
-		end := minInt(at+encBatch, n)
+		end := min(at+encBatch, n)
 		batch := d.MakeBatch(split.Train[at:end], labelOf, nil, nil)
 		emb := m.Image.Backbone.Forward(batch.Images, false)
 		if feats == nil {
@@ -228,47 +207,29 @@ func trainZSCCached(m *Model, d *dataset.SynthCUB, split dataset.Split, cfg Trai
 	trainAttr := d.ClassAttrRows(split.TrainClasses)
 	params := append(append([]*nn.Param{}, m.Image.Proj.Params()...), m.Attr.Params()...)
 	params = append(params, m.Kernel.Params()...)
-	opt := nn.NewAdamW(cfg.LR, cfg.WeightDecay)
-	perEpoch := (n + cfg.Batch - 1) / cfg.Batch
-	sched := nn.NewCosineAnnealingLR(cfg.LR, cfg.LRMin, maxInt(cfg.Epochs*perEpoch, 1))
-
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	var last float32
-	step := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var sum float64
-		for at := 0; at < n; at += cfg.Batch {
-			end := minInt(at+cfg.Batch, n)
-			bf := tensor.New(end-at, feats.Dim(1))
-			bl := make([]int, end-at)
-			for i := at; i < end; i++ {
-				copy(bf.Row(i-at), feats.Row(order[i]))
-				bl[i-at] = labels[order[i]]
-			}
-			nn.ZeroGrads(params)
-			emb := m.Image.Proj.Forward(bf, true)
-			phi := m.Attr.Encode(trainAttr, true)
-			logits := m.Kernel.Forward(emb, phi)
-			loss, dlogits := nn.SoftmaxCrossEntropy(logits, bl)
-			dx, dp := m.Kernel.Backward(dlogits)
-			m.Image.Proj.Backward(dx)
-			m.Attr.Backward(dp)
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(params, cfg.ClipNorm)
-			}
-			sched.Apply(opt, step)
-			opt.Step(params)
-			m.Kernel.ClampTemperature(1e-3, 100)
-			step++
-			sum += float64(loss)
+	return Fit(params, cfg, (n+cfg.Batch-1)/cfg.Batch, m.Kernel, func(b int) float64 {
+		if b == 0 {
+			rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		}
-		last = float32(sum / float64(perEpoch))
-	}
-	return last
+		ids := order[b*cfg.Batch : min(b*cfg.Batch+cfg.Batch, n)]
+		bf := tensor.New(len(ids), feats.Dim(1))
+		bl := make([]int, len(ids))
+		for i, id := range ids {
+			copy(bf.Row(i), feats.Row(id))
+			bl[i] = labels[id]
+		}
+		emb := m.Image.Proj.Forward(bf, true)
+		phi := m.Attr.Encode(trainAttr, true)
+		loss, dlogits := nn.SoftmaxCrossEntropy(m.Kernel.Forward(emb, phi), bl)
+		dx, dp := m.Kernel.Backward(dlogits)
+		m.Image.Proj.Backward(dx)
+		m.Attr.Backward(dp)
+		return float64(loss)
+	})
 }
 
 // ZSCResult holds the zero-shot evaluation metrics of §IV-A-b.
@@ -313,7 +274,7 @@ func AttributeScores(img *ImageEncoder, kernel *SimilarityKernel, dict *tensor.T
 	}
 	batchSize := 32
 	for at := 0; at < len(instanceIdx); at += batchSize {
-		end := minInt(at+batchSize, len(instanceIdx))
+		end := min(at+batchSize, len(instanceIdx))
 		batch := d.MakeBatch(instanceIdx[at:end], labelOf, nil, nil)
 		emb := img.Forward(batch.Images, false)
 		q := kernel.Forward(emb, dict)
@@ -341,18 +302,4 @@ func RunSeeds(seeds []int64, fn func(seed int64) float64) (mean, std float64) {
 // FormatMuSigma renders a µ±σ pair the way the paper reports results.
 func FormatMuSigma(mean, std float64) string {
 	return fmt.Sprintf("%.1f ± %.1f", mean*100, std*100)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -65,7 +65,7 @@ func RunTable2(sc Scale) Table2Result {
 				// Rows without a projection train the backbone end-to-end in
 				// phase III; keep those runs affordable with fewer epochs.
 				if v.ProjDim == 0 {
-					cfg.PhaseIII.Epochs = maxI(2, sc.PhaseIIIEpochs/3)
+					cfg.PhaseIII.Epochs = max(2, sc.PhaseIIIEpochs/3)
 				}
 				_, out := cfg.Run(d, split, sc.Pretrain(seed))
 				accs = append(accs, out.Eval.Top1)
@@ -123,11 +123,4 @@ func (r Table2Result) PreferredRow() Table2Row {
 		}
 	}
 	return best
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -122,7 +122,7 @@ func TestSimilarityKernelIdealMatchesCosine(t *testing.T) {
 	x := tensor.Randn(rng, 1, 3, 12)
 	k := NewSimilarityKernel(phi, 0.5, Ideal())
 	got := k.Logits(x)
-	want := tensor.Scale(tensor.CosineSimilarityMatrix(x, phi), 2) // 1/K = 2
+	want := tensor.Scale(tensor.MatMulT(tensor.NormalizeRows(x), tensor.NormalizeRows(phi)), 2) // 1/K = 2
 	for i := range want.Data {
 		if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-4 {
 			t.Fatalf("ideal analog kernel diverges at %d: %v vs %v", i, got.Data[i], want.Data[i])

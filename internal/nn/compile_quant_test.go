@@ -127,8 +127,7 @@ func TestCompiledQuantizedInvalidation(t *testing.T) {
 	s := NewScratch()
 	before := cq.Infer(x, s).Clone()
 
-	sgd := NewSGD(0.1, 0, 0.2)
-	sgd.Step(net.Params())
+	NewAdamW(0.1, 0.2).Step(net.Params())
 	s.Reset()
 	got := cq.Infer(x, s)
 	same := true

@@ -260,8 +260,7 @@ func TestCompiledInvalidation(t *testing.T) {
 	before := cn.Infer(x, s).Clone()
 
 	// Optimizer step: weight decay alone moves every decayable weight.
-	sgd := NewSGD(0.1, 0, 0.2)
-	sgd.Step(net.Params())
+	NewAdamW(0.1, 0.2).Step(net.Params())
 	s.Reset()
 	got := cn.Infer(x, s)
 	requireClose(t, "post-step", got, net.Forward(x, false), 1e-4)
@@ -326,11 +325,11 @@ func TestLinearPackedWeightInvalidation(t *testing.T) {
 		name  string
 		apply func()
 	}{
-		{"sgd-step", func() {
+		{"optimizer-step", func() {
 			for i := range fc.W.Grad.Data {
 				fc.W.Grad.Data[i] = 0.5
 			}
-			NewSGD(0.1, 0, 0).Step(mlp.Params())
+			NewAdamW(0.1, 0).Step(mlp.Params())
 		}},
 		{"bump-version", func() {
 			for i := range fc.W.Value.Data {

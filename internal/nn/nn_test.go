@@ -415,19 +415,6 @@ func TestMSE(t *testing.T) {
 
 // --- Optimizers & schedule ---
 
-func TestSGDReducesQuadratic(t *testing.T) {
-	p := NewParam("w", tensor.FromSlice([]float32{5}, 1))
-	opt := NewSGD(0.05, 0.9, 0)
-	for i := 0; i < 300; i++ {
-		p.ZeroGrad()
-		p.Grad.Data[0] = 2 * p.Value.Data[0] // d/dw w²
-		opt.Step([]*Param{p})
-	}
-	if math.Abs(float64(p.Value.Data[0])) > 1e-2 {
-		t.Fatalf("SGD failed to minimize w²: w=%v", p.Value.Data[0])
-	}
-}
-
 func TestAdamWReducesQuadratic(t *testing.T) {
 	p := NewParam("w", tensor.FromSlice([]float32{5}, 1))
 	opt := NewAdamW(0.3, 0)
@@ -468,10 +455,6 @@ func TestFrozenParamsSkipped(t *testing.T) {
 	p := NewParam("w", tensor.FromSlice([]float32{1}, 1))
 	p.Frozen = true
 	p.Grad.Data[0] = 100
-	NewSGD(0.1, 0, 0).Step([]*Param{p})
-	if p.Value.Data[0] != 1 {
-		t.Fatal("SGD updated a frozen param")
-	}
 	NewAdamW(0.1, 0.1).Step([]*Param{p})
 	if p.Value.Data[0] != 1 {
 		t.Fatal("AdamW updated a frozen param")

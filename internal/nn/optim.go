@@ -6,62 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer advances parameters using their accumulated gradients.
-// Implementations skip frozen parameters and clear nothing; callers
-// control ZeroGrads placement.
-type Optimizer interface {
-	// Step applies one update to every unfrozen parameter.
-	Step(params []*Param)
-	// SetLR changes the learning rate (driven by a Scheduler).
-	SetLR(lr float32)
-	// LR returns the current learning rate.
-	LR() float32
-}
-
-// SGD is stochastic gradient descent with classical momentum and L2
-// weight decay folded into the gradient.
-type SGD struct {
-	lr       float32
-	Momentum float32
-	Decay    float32
-	velocity map[*Param]*tensor.Tensor
-}
-
-// NewSGD builds an SGD optimizer.
-func NewSGD(lr, momentum, decay float32) *SGD {
-	return &SGD{lr: lr, Momentum: momentum, Decay: decay, velocity: map[*Param]*tensor.Tensor{}}
-}
-
-// Step applies v ← µv − lr·(g + λw); w ← w + v.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if p.Frozen {
-			continue
-		}
-		v, ok := o.velocity[p]
-		if !ok {
-			v = tensor.New(p.Value.Shape()...)
-			o.velocity[p] = v
-		}
-		decay := o.Decay
-		if p.NoDecay {
-			decay = 0
-		}
-		for i := range p.Value.Data {
-			g := p.Grad.Data[i] + decay*p.Value.Data[i]
-			v.Data[i] = o.Momentum*v.Data[i] - o.lr*g
-			p.Value.Data[i] += v.Data[i]
-		}
-		p.BumpVersion()
-	}
-}
-
-// SetLR sets the learning rate.
-func (o *SGD) SetLR(lr float32) { o.lr = lr }
-
-// LR returns the learning rate.
-func (o *SGD) LR() float32 { return o.lr }
-
 // AdamW is Adam with decoupled weight decay (Loshchilov & Hutter, the
 // paper's optimizer, "with default settings"): β₁=0.9, β₂=0.999, ε=1e−8.
 type AdamW struct {
@@ -78,8 +22,9 @@ func NewAdamW(lr, decay float32) *AdamW {
 	}
 }
 
-// Step applies one AdamW update with bias correction; weight decay is
-// applied directly to the weights (decoupled), skipping NoDecay params.
+// Step applies one AdamW update with bias correction to every unfrozen
+// parameter; weight decay is applied directly to the weights
+// (decoupled), skipping NoDecay params. Gradients are left as they are.
 func (o *AdamW) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - float32(math.Pow(float64(o.Beta1), float64(o.t)))
@@ -110,12 +55,6 @@ func (o *AdamW) Step(params []*Param) {
 		p.BumpVersion()
 	}
 }
-
-// SetLR sets the learning rate.
-func (o *AdamW) SetLR(lr float32) { o.lr = lr }
-
-// LR returns the learning rate.
-func (o *AdamW) LR() float32 { return o.lr }
 
 // CosineAnnealingLR implements the cosine-annealing schedule of SGDR
 // (without restarts), the paper's scheduler:
@@ -148,7 +87,7 @@ func (s *CosineAnnealingLR) At(t int) float32 {
 }
 
 // Apply sets the optimizer's learning rate for step t.
-func (s *CosineAnnealingLR) Apply(o Optimizer, t int) { o.SetLR(s.At(t)) }
+func (s *CosineAnnealingLR) Apply(o *AdamW, t int) { o.lr = s.At(t) }
 
 // ClipGradNorm rescales all gradients so their global L2 norm does not
 // exceed maxNorm; returns the pre-clip norm. A standard guard for the

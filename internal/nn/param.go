@@ -2,9 +2,9 @@
 // backpropagation (convolution, batch normalization, pooling, linear),
 // a residual-network builder mirroring the ResNet50/ResNet101 topologies
 // the paper uses as image encoders, loss functions (softmax cross entropy,
-// the weighted binary cross entropy of §III-A, MSE), optimizers (SGD with
-// momentum, AdamW with decoupled weight decay) and the cosine-annealing
-// learning-rate schedule of the paper's training recipe.
+// the weighted binary cross entropy of §III-A, MSE), the AdamW optimizer
+// with decoupled weight decay and the cosine-annealing learning-rate
+// schedule of the paper's training recipe.
 //
 // Conventions: image activations are NCHW [N, C, H, W]; feature matrices
 // are [N, d]; all compute is float32; every source of randomness is an
@@ -18,7 +18,7 @@ import (
 )
 
 // Param is a trainable parameter: a value tensor and its accumulated
-// gradient. Optimizers consume the gradient and reset it via ZeroGrad.
+// gradient. The optimizer consumes the gradient; ZeroGrad resets it.
 type Param struct {
 	// Name identifies the parameter in diagnostics and checkpoints.
 	Name string

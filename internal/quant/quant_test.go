@@ -163,8 +163,9 @@ func TestQuantizedProjectionPreservesRanking(t *testing.T) {
 
 	embF := proj.Forward(feats, false)
 	embQ := q.Forward(feats)
-	simF := tensor.CosineSimilarityMatrix(embF, classes)
-	simQ := tensor.CosineSimilarityMatrix(embQ, classes)
+	cn := tensor.NormalizeRows(classes)
+	simF := tensor.MatMulT(tensor.NormalizeRows(embF), cn)
+	simQ := tensor.MatMulT(tensor.NormalizeRows(embQ), cn)
 	agree := 0
 	for r := 0; r < 20; r++ {
 		if tensor.ArgMaxRow(simF, r) == tensor.ArgMaxRow(simQ, r) {

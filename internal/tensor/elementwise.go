@@ -5,29 +5,17 @@ import (
 	"math"
 )
 
-// binOp applies f elementwise over equal-shaped tensors into a new tensor.
-func binOp(op string, a, b *Tensor, f func(x, y float32) float32) *Tensor {
+// Add returns a+b elementwise.
+func Add(a, b *Tensor) *Tensor {
 	if !a.SameShape(b) {
-		panic(fmt.Sprintf("tensor.%s: shape mismatch %v vs %v", op, a.shape, b.shape))
+		panic(fmt.Sprintf("tensor.Add: shape mismatch %v vs %v", a.shape, b.shape))
 	}
 	out := New(a.shape...)
 	for i := range a.Data {
-		out.Data[i] = f(a.Data[i], b.Data[i])
+		out.Data[i] = a.Data[i] + b.Data[i]
 	}
 	return out
 }
-
-// Add returns a+b elementwise.
-func Add(a, b *Tensor) *Tensor { return binOp("Add", a, b, func(x, y float32) float32 { return x + y }) }
-
-// Sub returns a-b elementwise.
-func Sub(a, b *Tensor) *Tensor { return binOp("Sub", a, b, func(x, y float32) float32 { return x - y }) }
-
-// Mul returns a*b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor { return binOp("Mul", a, b, func(x, y float32) float32 { return x * y }) }
-
-// Div returns a/b elementwise.
-func Div(a, b *Tensor) *Tensor { return binOp("Div", a, b, func(x, y float32) float32 { return x / y }) }
 
 // AddInPlace accumulates b into a elementwise and returns a.
 func AddInPlace(a, b *Tensor) *Tensor {
@@ -57,15 +45,6 @@ func ScaleInPlace(a *Tensor, s float32) *Tensor {
 	return a
 }
 
-// AddScalar returns a+s elementwise in a new tensor.
-func AddScalar(a *Tensor, s float32) *Tensor {
-	out := New(a.shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + s
-	}
-	return out
-}
-
 // Apply returns f applied elementwise in a new tensor.
 func Apply(a *Tensor, f func(float32) float32) *Tensor {
 	out := New(a.shape...)
@@ -73,21 +52,6 @@ func Apply(a *Tensor, f func(float32) float32) *Tensor {
 		out.Data[i] = f(a.Data[i])
 	}
 	return out
-}
-
-// ApplyInPlace applies f elementwise in place and returns a.
-func ApplyInPlace(a *Tensor, f func(float32) float32) *Tensor {
-	for i := range a.Data {
-		a.Data[i] = f(a.Data[i])
-	}
-	return a
-}
-
-// Sigmoid returns 1/(1+exp(-x)) elementwise.
-func Sigmoid(a *Tensor) *Tensor {
-	return Apply(a, func(x float32) float32 {
-		return float32(1 / (1 + math.Exp(-float64(x))))
-	})
 }
 
 // Tanh returns tanh(x) elementwise.
@@ -102,34 +66,6 @@ func ReLU(a *Tensor) *Tensor {
 			return x
 		}
 		return 0
-	})
-}
-
-// Sign returns -1, 0, or +1 elementwise; used to bipolarize bundled
-// hypervector sums on the real-valued side.
-func Sign(a *Tensor) *Tensor {
-	return Apply(a, func(x float32) float32 {
-		switch {
-		case x > 0:
-			return 1
-		case x < 0:
-			return -1
-		default:
-			return 0
-		}
-	})
-}
-
-// Clamp limits every element to [lo, hi].
-func Clamp(a *Tensor, lo, hi float32) *Tensor {
-	return Apply(a, func(x float32) float32 {
-		if x < lo {
-			return lo
-		}
-		if x > hi {
-			return hi
-		}
-		return x
 	})
 }
 

@@ -5,15 +5,6 @@ import (
 	"math"
 )
 
-// Eye returns the n×n identity matrix.
-func Eye(n int) *Tensor {
-	t := New(n, n)
-	for i := 0; i < n; i++ {
-		t.Data[i*n+i] = 1
-	}
-	return t
-}
-
 // AddDiagonal adds v to every diagonal element of the square matrix a in
 // place and returns a. Used for ridge/Tikhonov regularization in ESZSL.
 func AddDiagonal(a *Tensor, v float32) *Tensor {
@@ -170,7 +161,3 @@ func SolveLinear(a, b *Tensor) (*Tensor, error) {
 	}
 	return x, nil
 }
-
-// FrobeniusNorm returns the Frobenius norm of a matrix (the L2 norm of its
-// elements); ESZSL's regularizer is expressed in terms of it.
-func FrobeniusNorm(a *Tensor) float32 { return a.Norm() }

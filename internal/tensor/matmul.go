@@ -214,10 +214,3 @@ func Dot(a, b *Tensor) float32 {
 	}
 	return s
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -47,11 +47,3 @@ func Rademacher(rng *rand.Rand, shape ...int) *Tensor {
 func HeInit(rng *rand.Rand, fanIn int, shape ...int) *Tensor {
 	return Randn(rng, float32(math.Sqrt(2/float64(fanIn))), shape...)
 }
-
-// XavierInit returns Glorot-uniform initialization for a weight tensor:
-// U(-a, a) with a = sqrt(6/(fanIn+fanOut)). Used for linear projections
-// feeding non-ReLU activations (e.g. the similarity projection FC).
-func XavierInit(rng *rand.Rand, fanIn, fanOut int, shape ...int) *Tensor {
-	a := float32(math.Sqrt(6 / float64(fanIn+fanOut)))
-	return RandUniform(rng, -a, a, shape...)
-}

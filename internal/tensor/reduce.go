@@ -41,16 +41,6 @@ func SumCols(a *Tensor) *Tensor {
 	return out
 }
 
-// MeanCols returns the column means of a 2-D tensor.
-func MeanCols(a *Tensor) *Tensor {
-	out := SumCols(a)
-	inv := 1 / float32(a.Dim(0))
-	for i := range out.Data {
-		out.Data[i] *= inv
-	}
-	return out
-}
-
 // ArgMaxRow returns the index of the maximum element in row r of a 2-D
 // tensor; ties resolve to the lowest index.
 func ArgMaxRow(a *Tensor, r int) int {
@@ -122,22 +112,6 @@ func SoftmaxRows(a *Tensor) *Tensor {
 	return out
 }
 
-// LogSumExpRow returns log(Σ exp(row)) for row r, computed stably.
-func LogSumExpRow(a *Tensor, r int) float32 {
-	row := a.Row(r)
-	mx := row[0]
-	for _, v := range row[1:] {
-		if v > mx {
-			mx = v
-		}
-	}
-	var s float64
-	for _, v := range row {
-		s += math.Exp(float64(v - mx))
-	}
-	return mx + float32(math.Log(s))
-}
-
 // NormalizeRows scales each row of a 2-D tensor to unit L2 norm, returning
 // a new tensor. Zero rows are left as zeros (the cosine kernel treats a
 // zero embedding as equally dissimilar to everything).
@@ -180,13 +154,4 @@ func RowNorms(a *Tensor) *Tensor {
 		out.Data[r] = float32(math.Sqrt(s))
 	}
 	return out
-}
-
-// CosineSimilarityMatrix returns the [m,n] matrix of cosine similarities
-// between the rows of a[m,d] and the rows of b[n,d]. Rows with zero norm
-// produce zero similarity.
-func CosineSimilarityMatrix(a, b *Tensor) *Tensor {
-	an := NormalizeRows(a)
-	bn := NormalizeRows(b)
-	return MatMulT(an, bn)
 }

@@ -33,10 +33,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Data: make([]float32, n), shape: append([]int(nil), shape...)}
 }
 
-// Zeros is an alias for New, named for readability at call sites that
-// contrast with Ones or Full.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Ones allocates a tensor filled with 1.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 

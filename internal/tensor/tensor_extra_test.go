@@ -67,13 +67,6 @@ func TestStringSmallAndLarge(t *testing.T) {
 
 func TestApplyFunctions(t *testing.T) {
 	a := FromSlice([]float32{-1, 0, 1}, 3)
-	sg := Sigmoid(a)
-	if math.Abs(float64(sg.Data[1])-0.5) > 1e-6 {
-		t.Fatalf("sigmoid(0) = %v", sg.Data[1])
-	}
-	if sg.Data[0]+sg.Data[2] < 0.999 || sg.Data[0]+sg.Data[2] > 1.001 {
-		t.Fatal("sigmoid symmetry broken")
-	}
 	th := Tanh(a)
 	if th.Data[1] != 0 || th.Data[0] != -th.Data[2] {
 		t.Fatalf("tanh values wrong: %v", th.Data)
@@ -95,14 +88,6 @@ func TestInPlaceOps(t *testing.T) {
 	if a.Data[0] != 5.5 {
 		t.Fatalf("ScaleInPlace wrong: %v", a.Data)
 	}
-	ApplyInPlace(a, func(x float32) float32 { return -x })
-	if a.Data[0] != -5.5 {
-		t.Fatal("ApplyInPlace wrong")
-	}
-	c := AddScalar(a, 1)
-	if c.Data[0] != -4.5 {
-		t.Fatal("AddScalar wrong")
-	}
 }
 
 func TestMulRowVector(t *testing.T) {
@@ -117,24 +102,6 @@ func TestMulRowVector(t *testing.T) {
 	}
 }
 
-func TestLogSumExpRow(t *testing.T) {
-	a := FromSlice([]float32{0, 0, 0}, 1, 3)
-	if got := LogSumExpRow(a, 0); math.Abs(float64(got)-math.Log(3)) > 1e-5 {
-		t.Fatalf("LSE = %v, want ln 3", got)
-	}
-	// Stability under large values.
-	b := FromSlice([]float32{1000, 1000}, 1, 2)
-	got := LogSumExpRow(b, 0)
-	if math.IsInf(float64(got), 0) || math.IsNaN(float64(got)) {
-		t.Fatal("LSE overflowed")
-	}
-	if math.Abs(float64(got)-(1000+float32Log2())) > 1e-2 {
-		t.Fatalf("LSE = %v, want 1000+ln2", got)
-	}
-}
-
-func float32Log2() float64 { return math.Log(2) }
-
 func TestAddDiagonalPanicsNonSquare(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -142,14 +109,6 @@ func TestAddDiagonalPanicsNonSquare(t *testing.T) {
 		}
 	}()
 	AddDiagonal(New(2, 3), 1)
-}
-
-func TestFrobeniusNormMatchesNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := Randn(rng, 1, 3, 4)
-	if FrobeniusNorm(a) != a.Norm() {
-		t.Fatal("FrobeniusNorm diverges from Norm")
-	}
 }
 
 func TestRowNormsValues(t *testing.T) {
@@ -160,7 +119,7 @@ func TestRowNormsValues(t *testing.T) {
 	}
 }
 
-func TestHeXavierInitScales(t *testing.T) {
+func TestHeInitScales(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	h := HeInit(rng, 100, 100, 100)
 	// Sample std should be near sqrt(2/100) ≈ 0.1414.
@@ -172,12 +131,6 @@ func TestHeXavierInitScales(t *testing.T) {
 	if std < 0.12 || std > 0.17 {
 		t.Fatalf("He init std %v, want ≈0.141", std)
 	}
-	x := XavierInit(rng, 50, 50, 50, 50)
-	bound := math.Sqrt(6.0 / 100)
-	mn, mx := x.MinMax()
-	if float64(mn) < -bound-1e-6 || float64(mx) > bound+1e-6 {
-		t.Fatalf("Xavier init out of bounds: [%v, %v] vs ±%v", mn, mx, bound)
-	}
 }
 
 // Property: softmax is invariant to adding a constant to a row.
@@ -188,7 +141,10 @@ func TestPropertySoftmaxShiftInvariant(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		a := Randn(rng, 1, 2, 5)
-		b := AddScalar(a, shift)
+		b := a.Clone()
+		for i := range b.Data {
+			b.Data[i] += shift
+		}
 		sa, sb := SoftmaxRows(a), SoftmaxRows(b)
 		for i := range sa.Data {
 			if math.Abs(float64(sa.Data[i]-sb.Data[i])) > 1e-4 {
