@@ -114,14 +114,14 @@ type ESZSLResult struct {
 func RunESZSL(img *core.ImageEncoder, d *dataset.SynthCUB, split dataset.Split,
 	gamma, lambda float32) (ESZSLResult, error) {
 
-	feats, labels := encodeAll(img, d, split.Train, split.TrainClasses)
+	feats, labels := core.EmbedInstances(img.Compiled(), d, split.Train, dataset.ClassIndexMap(split.TrainClasses))
 	sTr := d.ClassAttrRows(split.TrainClasses)
 	model := NewESZSL(gamma, lambda)
 	if err := model.Fit(feats, labels, sTr); err != nil {
 		return ESZSLResult{}, err
 	}
 
-	testFeats, testLabels := encodeAll(img, d, split.Test, split.TestClasses)
+	testFeats, testLabels := core.EmbedInstances(img.Compiled(), d, split.Test, dataset.ClassIndexMap(split.TestClasses))
 	sTe := d.ClassAttrRows(split.TestClasses)
 	scores := model.Scores(testFeats, sTe)
 	k := 5
@@ -133,31 +133,6 @@ func RunESZSL(img *core.ImageEncoder, d *dataset.SynthCUB, split dataset.Split,
 		Top5:       metrics.TopKAccuracy(scores, testLabels, k),
 		ParamCount: model.ParamCount() + nn.CountParams(img.Params()),
 	}, nil
-}
-
-// encodeAll runs the frozen image encoder over the given instances and
-// returns the feature matrix plus split-local labels.
-func encodeAll(img *core.ImageEncoder, d *dataset.SynthCUB, idx []int, classes []int) (*tensor.Tensor, []int) {
-	labelOf := dataset.ClassIndexMap(classes)
-	var feats *tensor.Tensor
-	labels := make([]int, len(idx))
-	const batch = 32
-	for at := 0; at < len(idx); at += batch {
-		end := at + batch
-		if end > len(idx) {
-			end = len(idx)
-		}
-		b := d.MakeBatch(idx[at:end], labelOf, nil, nil)
-		emb := img.Forward(b.Images, false)
-		if feats == nil {
-			feats = tensor.New(len(idx), emb.Dim(1))
-		}
-		for i := 0; i < end-at; i++ {
-			copy(feats.Row(at+i), emb.Row(i))
-			labels[at+i] = b.Labels[i]
-		}
-	}
-	return feats, labels
 }
 
 // FitWithRNGSeedPerturbation refits ESZSL after adding tiny seeded noise

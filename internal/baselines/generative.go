@@ -60,7 +60,7 @@ type FeatGenResult struct {
 // classes, the standard ZSL protocol).
 func RunFeatGen(img *core.ImageEncoder, d *dataset.SynthCUB, split dataset.Split, cfg FeatGenConfig) FeatGenResult {
 	rng := rand.New(rand.NewSource(cfg.Seed + 17))
-	feats, labels := encodeAll(img, d, split.Train, split.TrainClasses)
+	feats, labels := core.EmbedInstances(img.Compiled(), d, split.Train, dataset.ClassIndexMap(split.TrainClasses))
 	f := feats.Dim(1)
 	alpha := d.Schema.Alpha()
 	trainAttr := d.ClassAttrRows(split.TrainClasses)
@@ -151,7 +151,7 @@ func RunFeatGen(img *core.ImageEncoder, d *dataset.SynthCUB, split dataset.Split
 	})
 
 	// --- Evaluate on real unseen-class instances. ---
-	testFeats, testLabels := encodeAll(img, d, split.Test, split.TestClasses)
+	testFeats, testLabels := core.EmbedInstances(img.Compiled(), d, split.Test, dataset.ClassIndexMap(split.TestClasses))
 	logits := cls.Forward(testFeats, false)
 	// Restrict the argmax to the unseen-class block.
 	scores := tensor.New(testFeats.Dim(0), cTe)

@@ -497,3 +497,84 @@ func TestEvalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
+
+// TestEmbedInstances pins the frozen-feature pass to the compiled plan:
+// its rows are bitwise equal to embedding each batch of 32 serially
+// through plan.Infer, its labels are MakeBatch's, and neither depends on
+// the core count the batches fan out over. n = 70 spans three batches
+// (the last one ragged); n = 5 is a single partial batch.
+func TestEmbedInstances(t *testing.T) {
+	d, _ := tinyData(21)
+	model, _ := tinyPipeline(21).Build(d.Schema)
+	plan := model.Image.Compiled()
+	all := make([]int, d.NumInstances())
+	for i := range all {
+		all[i] = i
+	}
+	labelOf := dataset.ClassIndexMap(all[:d.Cfg.NumClasses])
+
+	for _, n := range []int{70, 5} {
+		ids := all[len(all)-n:]
+		var want []float32
+		var wantLabels []int
+		sc := nn.NewScratch()
+		for at := 0; at < n; at += 32 {
+			sc.Reset()
+			batch := d.MakeBatch(ids[at:min(at+32, n)], labelOf, nil, nil)
+			want = append(want, plan.Infer(batch.Images, sc).Data...)
+			wantLabels = append(wantLabels, batch.Labels...)
+		}
+		for _, procs := range []int{1, 4} {
+			old := runtime.GOMAXPROCS(procs)
+			feats, labels := EmbedInstances(plan, d, ids, labelOf)
+			runtime.GOMAXPROCS(old)
+			if feats.Dim(0) != n || feats.Dim(1) != model.Image.OutDim() {
+				t.Fatalf("n=%d GOMAXPROCS=%d: feats shape %v", n, procs, feats.Shape())
+			}
+			for i, v := range want {
+				if math.Float32bits(feats.Data[i]) != math.Float32bits(v) {
+					t.Fatalf("n=%d GOMAXPROCS=%d: element %d = %v, plan.Infer gives %v", n, procs, i, feats.Data[i], v)
+				}
+			}
+			for i, l := range wantLabels {
+				if labels[i] != l {
+					t.Fatalf("n=%d GOMAXPROCS=%d: label %d = %d, MakeBatch gives %d", n, procs, i, labels[i], l)
+				}
+			}
+		}
+	}
+}
+
+// TestTrainZSCKeepsBackboneFrozen guards the premise of phase III's
+// feature cache: TrainZSC with a projection leaves every backbone
+// parameter at its version and every batch-norm running statistic
+// (the tensors BatchNorm2D.StatsFingerprint hashes) bit for bit.
+func TestTrainZSCKeepsBackboneFrozen(t *testing.T) {
+	d, split := tinyData(22)
+	cfg := tinyPipeline(22)
+	model, _ := cfg.Build(d.Schema)
+	bb := model.Image.Backbone
+	var versions []uint64
+	for _, p := range bb.Params() {
+		versions = append(versions, p.Version())
+	}
+	var stats []*tensor.Tensor
+	for _, s := range bb.State() {
+		stats = append(stats, s.Clone())
+	}
+	cfg3 := cfg.PhaseIII
+	cfg3.Epochs = 2
+	TrainZSC(model, d, split, cfg3)
+	for i, p := range bb.Params() {
+		if p.Version() != versions[i] {
+			t.Fatalf("backbone param %s moved from version %d to %d", p.Name, versions[i], p.Version())
+		}
+	}
+	for i, s := range bb.State() {
+		for j, v := range s.Data {
+			if math.Float32bits(v) != math.Float32bits(stats[i].Data[j]) {
+				t.Fatalf("backbone running statistic %d changed at element %d", i, j)
+			}
+		}
+	}
+}

@@ -58,6 +58,55 @@ func EvalZSCWithEngine(m *Model, d *dataset.SynthCUB, split dataset.Split, eng *
 	return ZSCResult{Top1: top1, Top5: topk}
 }
 
+// EmbedInstances runs a compiled frozen plan over the given instances
+// in batches of 32 and returns their [len(ids), out] embedding rows
+// with each instance's label under labelOf. It is the one frozen-
+// feature pass: phase III's backbone cache, attribute scoring and the
+// baselines' frozen encoders all embed through it, with the arithmetic
+// evaluation uses. Batches fan out across GOMAXPROCS workers, each with
+// its own pooled nn.Scratch, and every batch is embedded by exactly one
+// worker into its own disjoint rows; the plan is bitwise deterministic,
+// so the result is identical at any core count. feats is nil when ids
+// is empty.
+func EmbedInstances(plan *nn.CompiledNet, d *dataset.SynthCUB, ids []int, labelOf map[int]int) (feats *tensor.Tensor, labels []int) {
+	const batchSize = 32
+	n := len(ids)
+	labels = make([]int, n)
+	nBatches := (n + batchSize - 1) / batchSize
+	workers := min(runtime.GOMAXPROCS(0), nBatches)
+
+	// The output width is known once the first batch is embedded; the
+	// first worker to get there allocates feats, and Once publishes it
+	// to the rest before any of them writes a row.
+	var alloc sync.Once
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := nn.GetScratch()
+			defer nn.PutScratch(sc)
+			for bi := range jobs {
+				sc.Reset()
+				at := bi * batchSize
+				end := min(at+batchSize, n)
+				batch := d.MakeBatch(ids[at:end], labelOf, nil, nil)
+				emb := plan.Infer(batch.Images, sc)
+				alloc.Do(func() { feats = tensor.New(n, emb.Dim(1)) })
+				copy(feats.Data[at*emb.Dim(1):end*emb.Dim(1)], emb.Data)
+				copy(labels[at:end], batch.Labels)
+			}
+		}()
+	}
+	for bi := 0; bi < nBatches; bi++ {
+		jobs <- bi
+	}
+	close(jobs)
+	wg.Wait()
+	return feats, labels
+}
+
 // engineAccuracy embeds the given instances in batches, queries the
 // engine for top-k, and returns top-1 and top-k accuracy. Probes are
 // offered dense; binary backends sign-pack them lazily via

@@ -82,10 +82,11 @@ func (e *ImageEncoder) CompileChain() []nn.Layer {
 // Compiled returns the encoder's frozen inference plan: BatchNorms
 // folded into conv weights, bias/ReLU/residual adds fused into GEMM
 // write-backs, buffers pre-scheduled (see nn.CompiledNet). It is the
-// serving and evaluation readout path, safe for any number of
-// goroutines sharing one encoder (each brings its own nn.Scratch);
-// plans build lazily per input geometry and refold automatically when
-// parameters change (optimizer steps, LoadParams). The plan matches
+// serving, evaluation and attribute-score (AttributeScores) readout
+// path, safe for any number of goroutines sharing one encoder (each
+// brings its own nn.Scratch); plans build lazily per input geometry and
+// refold automatically when parameters change (optimizer steps,
+// LoadParams). The plan matches
 // Forward(x, false) only within the BN-folding rounding tolerance,
 // while remaining bitwise deterministic across worker counts itself.
 func (e *ImageEncoder) Compiled() *nn.CompiledNet {

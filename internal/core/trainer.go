@@ -151,11 +151,13 @@ func augmentor(cfg TrainConfig) *dataset.Augmentor {
 // the similarity logits, while the matured backbone remains stationary.
 //
 // With a projection layer present, the frozen backbone's features are
-// computed once in inference mode and cached, and the epochs train only
-// the projection/kernel on the cache — mathematically the stationary-
-// backbone training of Fig. 2c at a fraction of the cost. Without a
-// projection layer there is nothing else to train, so the backbone itself
-// fine-tunes end-to-end (the "pre-train I,III" rows of Table II).
+// computed once through its compiled inference plan (BN folded — the
+// arithmetic EvalZSC embeds with; see EmbedInstances) and cached, and
+// the epochs train only the projection/kernel on the cache —
+// mathematically the stationary-backbone training of Fig. 2c at a
+// fraction of the cost. Without a projection layer there is nothing
+// else to train, so the backbone itself fine-tunes end-to-end (the
+// "pre-train I,III" rows of Table II).
 // Returns the final-epoch training loss.
 func TrainZSC(m *Model, d *dataset.SynthCUB, split dataset.Split, cfg TrainConfig) float32 {
 	if m.Image.Proj != nil {
@@ -178,7 +180,7 @@ func trainZSCEndToEnd(m *Model, d *dataset.SynthCUB, split dataset.Split, cfg Tr
 	})
 }
 
-// trainZSCCached freezes the backbone, caches its inference-mode features
+// trainZSCCached freezes the backbone, caches its compiled-plan features
 // for the training instances, and trains the projection, kernel, and any
 // trainable attribute encoder over the cache.
 func trainZSCCached(m *Model, d *dataset.SynthCUB, split dataset.Split, cfg TrainConfig) float32 {
@@ -186,23 +188,9 @@ func trainZSCCached(m *Model, d *dataset.SynthCUB, split dataset.Split, cfg Trai
 	m.Image.FreezeBackbone()
 	defer m.Image.UnfreezeBackbone()
 
-	labelOf := dataset.ClassIndexMap(split.TrainClasses)
+	feats, labels := EmbedInstances(nn.MustCompile(m.Image.Backbone), d, split.Train,
+		dataset.ClassIndexMap(split.TrainClasses))
 	n := len(split.Train)
-	var feats *tensor.Tensor
-	labels := make([]int, n)
-	const encBatch = 32
-	for at := 0; at < n; at += encBatch {
-		end := min(at+encBatch, n)
-		batch := d.MakeBatch(split.Train[at:end], labelOf, nil, nil)
-		emb := m.Image.Backbone.Forward(batch.Images, false)
-		if feats == nil {
-			feats = tensor.New(n, emb.Dim(1))
-		}
-		for i := 0; i < end-at; i++ {
-			copy(feats.Row(at+i), emb.Row(i))
-			labels[at+i] = batch.Labels[i]
-		}
-	}
 
 	trainAttr := d.ClassAttrRows(split.TrainClasses)
 	params := append(append([]*nn.Param{}, m.Image.Proj.Params()...), m.Attr.Params()...)
@@ -257,33 +245,22 @@ func EvalZSC(m *Model, d *dataset.SynthCUB, split dataset.Split) ZSCResult {
 	return ZSCResult{Top1: top1, Top5: topk}
 }
 
-// AttributeScores runs the image encoder over the given instances and
-// returns the [N, α] similarity scores against the attribute dictionary
-// together with the [N, α] ground-truth targets — the inputs to WMAP and
-// per-group top-1 metrics (Table I).
+// AttributeScores runs the image encoder's compiled plan over the given
+// instances and returns the [N, α] similarity scores against the
+// attribute dictionary together with the [N, α] ground-truth targets —
+// the inputs to WMAP and per-group top-1 metrics (Table I).
 func AttributeScores(img *ImageEncoder, kernel *SimilarityKernel, dict *tensor.Tensor,
 	d *dataset.SynthCUB, instanceIdx []int) (scores, targets *tensor.Tensor) {
 
-	alpha := dict.Dim(0)
-	scores = tensor.New(len(instanceIdx), alpha)
-	targets = tensor.New(len(instanceIdx), alpha)
+	targets = tensor.New(len(instanceIdx), dict.Dim(0))
 	// Any-class label map: attribute evaluation is label-space free.
 	labelOf := map[int]int{}
-	for _, i := range instanceIdx {
+	for r, i := range instanceIdx {
 		labelOf[d.Instances[i].Class] = 0
+		copy(targets.Row(r), d.Instances[i].Attr)
 	}
-	batchSize := 32
-	for at := 0; at < len(instanceIdx); at += batchSize {
-		end := min(at+batchSize, len(instanceIdx))
-		batch := d.MakeBatch(instanceIdx[at:end], labelOf, nil, nil)
-		emb := img.Forward(batch.Images, false)
-		q := kernel.Forward(emb, dict)
-		for i := 0; i < end-at; i++ {
-			copy(scores.Row(at+i), q.Row(i))
-			copy(targets.Row(at+i), batch.Attrs.Row(i))
-		}
-	}
-	return scores, targets
+	emb, _ := EmbedInstances(img.Compiled(), d, instanceIdx, labelOf)
+	return kernel.Forward(emb, dict), targets
 }
 
 // RunSeeds repeats fn for each seed and aggregates the returned metric

@@ -65,7 +65,7 @@ func TestPaperDigest(t *testing.T) {
 			t.Skip("trained weights are pinned for the AVX2+FMA kernel only")
 		}
 		m, _ := sc.Pipeline(1).Run(d, split, sc.Pretrain(1))
-		const want = "bad426a61ee8662b35999436487e2e01b28493f235e3d143cf559ed843bb78fb"
+		const want = "4cfbbf155276def384d3276a213fa30fb247c1eebaa231f92b13052d20005474"
 		if got := paramsDigest(m.Params()); got != want {
 			t.Errorf("weights digest %s, want %s", got, want)
 		}

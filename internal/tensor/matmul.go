@@ -2,10 +2,6 @@ package tensor
 
 import "fmt"
 
-// blockSize is the cache-blocking tile edge used by the retained
-// reference kernel matmulRefInto.
-const blockSize = 64
-
 // MatMul computes the 2-D matrix product a[m,k] × b[k,n] → [m,n] via the
 // packed register-blocked GEMM (see pack.go).
 func MatMul(a, b *Tensor) *Tensor {
@@ -20,33 +16,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	out := New(m, n)
 	gemm(out.Data, a.Data, b.Data, m, k, n, GemmOpts{})
 	return out
-}
-
-// matmulRefInto is the pre-packing kernel — a blocked i-k-j loop with a
-// zero-skip branch — retained as the reference the packed GEMM's parity
-// tests compare against (the two accumulate in different orders, so the
-// comparison is tolerance-based). dst must be pre-zeroed; it accumulates.
-func matmulRefInto(dst, a, b []float32, m, k, n int) {
-	for i0 := 0; i0 < m; i0 += blockSize {
-		iMax := min(i0+blockSize, m)
-		for k0 := 0; k0 < k; k0 += blockSize {
-			kMax := min(k0+blockSize, k)
-			for i := i0; i < iMax; i++ {
-				di := dst[i*n : (i+1)*n]
-				ai := a[i*k : (i+1)*k]
-				for p := k0; p < kMax; p++ {
-					av := ai[p]
-					if av == 0 {
-						continue
-					}
-					bp := b[p*n : (p+1)*n]
-					for j := range di {
-						di[j] += av * bp[j]
-					}
-				}
-			}
-		}
-	}
 }
 
 // MatMulInto computes a[m,k] × b[k,n] into dst[m,n] without allocating,

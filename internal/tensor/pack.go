@@ -29,9 +29,9 @@ import (
 // column range a worker owns. Parallel callers therefore get bitwise-
 // identical results for any worker budget, the invariant the compiled
 // inference plans (nn.CompiledNet) and the seeded evaluation pipeline pin in
-// tests. The accumulation order differs from the retained reference
-// kernel (matmulRefInto), so results are compared against it with a
-// tolerance, not bit equality.
+// tests. The accumulation order differs from the pre-packing reference
+// kernel the tests keep (matmulRefInto in pack_test.go), so results are
+// compared against it with a tolerance, not bit equality.
 //
 // Fused epilogue: optional per-row bias (convolution channel bias),
 // per-column bias (linear layer bias), an elementwise accumulator add

@@ -7,8 +7,39 @@ import (
 	"testing"
 )
 
+// blockSize is the cache-blocking tile edge of the reference kernel
+// matmulRefInto.
+const blockSize = 64
+
+// matmulRefInto is the pre-packing kernel — a blocked i-k-j loop with a
+// zero-skip branch — kept as the reference the packed GEMM's parity
+// tests compare against (the two accumulate in different orders, so the
+// comparison is tolerance-based). dst must be pre-zeroed; it accumulates.
+func matmulRefInto(dst, a, b []float32, m, k, n int) {
+	for i0 := 0; i0 < m; i0 += blockSize {
+		iMax := min(i0+blockSize, m)
+		for k0 := 0; k0 < k; k0 += blockSize {
+			kMax := min(k0+blockSize, k)
+			for i := i0; i < iMax; i++ {
+				di := dst[i*n : (i+1)*n]
+				ai := a[i*k : (i+1)*k]
+				for p := k0; p < kMax; p++ {
+					av := ai[p]
+					if av == 0 {
+						continue
+					}
+					bp := b[p*n : (p+1)*n]
+					for j := range di {
+						di[j] += av * bp[j]
+					}
+				}
+			}
+		}
+	}
+}
+
 // refGemm is a float64 oracle for tolerance comparisons: the packed GEMM
-// and the retained reference kernel accumulate float32 in different
+// and the reference kernel matmulRefInto accumulate float32 in different
 // orders, so both are checked against the same high-precision product.
 func refGemm(a, b *Tensor) []float64 {
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
