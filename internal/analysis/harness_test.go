@@ -10,9 +10,14 @@ package analysis
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -20,6 +25,35 @@ import (
 	"sync"
 	"testing"
 )
+
+// listExports resolves patterns (and all their dependencies) to gc
+// export-data files via `go list -export`, for testdata packages that
+// only need importable type information.
+func listExports(dir string, patterns ...string) (map[string]string, error) {
+	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
+	}
+	exports := map[string]string{}
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p listPkg
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("go list output: %w", err)
+		}
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	return exports, nil
+}
 
 // stdlibExports resolves export-data files for stdlib imports used by
 // testdata packages, once per process.

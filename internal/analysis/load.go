@@ -81,35 +81,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// listExports resolves patterns (and all their dependencies) to gc
-// export-data files via `go list -export`, for callers that only need
-// importable type information (the test harness).
-func listExports(dir string, patterns ...string) (map[string]string, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
-	}
-	exports := map[string]string{}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list output: %w", err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports, nil
-}
-
 // typeCheck parses and checks one listed package.
 func typeCheck(p *listPkg, exports map[string]string) (*Package, error) {
 	var goFiles, ignored, other []string

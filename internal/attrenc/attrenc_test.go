@@ -170,8 +170,10 @@ func TestClassPrototypeRecallsOwnAttributes(t *testing.T) {
 	// more than with non-members.
 	member := e.AttrVector(schema.GroupAttrOffset[0])
 	nonMember := e.AttrVector(schema.GroupAttrOffset[0] + 1)
-	cm := proto.Cosine(member)
-	cn := proto.Cosine(nonMember)
+	// Bipolar cosine of binary hypervectors: 1 − 2·Hamming/d.
+	cos := func(o *hdc.Binary) float64 { return 1 - 2*float64(proto.Hamming(o))/2048 }
+	cm := cos(member)
+	cn := cos(nonMember)
 	if cm < 0.1 || cm < cn+0.1 {
 		t.Fatalf("prototype recall weak: member=%v non-member=%v", cm, cn)
 	}

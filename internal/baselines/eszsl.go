@@ -9,7 +9,6 @@ package baselines
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -64,8 +63,8 @@ func (m *ESZSL) Fit(x *tensor.Tensor, labels []int, s *tensor.Tensor) error {
 	// [f, f]).
 	gram := tensor.TMatMul(x, x)
 	tensor.AddDiagonal(gram, m.Gamma)
-	xy := tensor.TMatMul(x, y)            // [f, Ctr]
-	xys := tensor.MatMul(xy, s)           // [f, α]
+	xy := tensor.TMatMul(x, y)  // [f, Ctr]
+	xys := tensor.MatMul(xy, s) // [f, α]
 	left, err := tensor.SolveSPD(gram, xys)
 	if err != nil {
 		return fmt.Errorf("eszsl: feature Gram solve: %w", err)
@@ -133,16 +132,4 @@ func RunESZSL(img *core.ImageEncoder, d *dataset.SynthCUB, split dataset.Split,
 		Top5:       metrics.TopKAccuracy(scores, testLabels, k),
 		ParamCount: model.ParamCount() + nn.CountParams(img.Params()),
 	}, nil
-}
-
-// FitWithRNGSeedPerturbation refits ESZSL after adding tiny seeded noise
-// to the regularizers; used by multi-seed protocols so the closed-form
-// baseline also reports a µ±σ spread.
-func (m *ESZSL) FitWithRNGSeedPerturbation(rng *rand.Rand, x *tensor.Tensor, labels []int, s *tensor.Tensor) error {
-	jitter := func(v float32) float32 { return v * (1 + 0.01*float32(rng.NormFloat64())) }
-	saved := *m
-	m.Gamma, m.Lambda = jitter(m.Gamma), jitter(m.Lambda)
-	err := m.Fit(x, labels, s)
-	m.Gamma, m.Lambda = saved.Gamma, saved.Lambda
-	return err
 }

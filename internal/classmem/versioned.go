@@ -173,18 +173,6 @@ func (v *Versioned) Base() int { return v.base }
 // Dim returns the hypervector dimensionality.
 func (v *Versioned) Dim() int { return v.dim }
 
-// Pending reports the staged-but-unpublished epoch, if any — the
-// state a shard advertises in its handshake so the router can re-drive
-// an interrupted two-phase flip.
-func (v *Versioned) Pending() (uint64, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.pending == nil {
-		return 0, false
-	}
-	return v.pending.epoch, true
-}
-
 // EnrolledRecord returns the label and packed words of the enrollment
 // that produced epoch (1-based: epoch e is the e'th enrollment).
 // Used for idempotency checks and router catch-up replay. The words
@@ -223,22 +211,11 @@ func (v *Versioned) Enroll(label string, proto *hdc.Binary) (uint64, error) {
 	return epoch, v.maybeCompactLocked()
 }
 
-// EnrollExamples bundles example bipolar vectors into a class
-// prototype (majority rule, ties broken by the seeded rng — the
-// paper's bundling operator) and enrolls it.
-func (v *Versioned) EnrollExamples(label string, seed int64, examples ...hdc.Bipolar) (uint64, error) {
-	proto, err := BundleExamples(seed, examples...)
-	if err != nil {
-		return 0, fmt.Errorf("classmem: enroll %q: %w", label, err)
-	}
-	return v.Enroll(label, proto)
-}
-
 // BundleExamples bundles example bipolar vectors into a packed class
-// prototype, exactly as EnrollExamples would before enrolling — the
-// client-side half for deployments that forward the bundled prototype
-// to a remote class memory (the router's two-phase flip) instead of
-// enrolling into a local store.
+// prototype — majority rule, ties broken from a generator seeded with
+// seed — for deployments that forward the bundled prototype to a remote
+// class memory (the router's two-phase flip) instead of enrolling into
+// a local store.
 func BundleExamples(seed int64, examples ...hdc.Bipolar) (*hdc.Binary, error) {
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("bundle with no examples")

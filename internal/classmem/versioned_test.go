@@ -146,8 +146,8 @@ func TestVersionedWALTornTail(t *testing.T) {
 	if re.Epoch() != k-1 {
 		t.Fatalf("epoch after torn commit: %d, want %d", re.Epoch(), k-1)
 	}
-	if ep, ok := re.Pending(); !ok || ep != k {
-		t.Fatalf("pending after torn commit: (%d, %v), want (%d, true)", ep, ok, k)
+	if re.pending == nil || re.pending.epoch != k {
+		t.Fatalf("pending after torn commit: %+v, want epoch %d staged", re.pending, k)
 	}
 	// Committing the restored stage completes the interrupted flip.
 	if err := re.Commit(k); err != nil {

@@ -319,53 +319,9 @@ func TestPretrainClassificationLearns(t *testing.T) {
 	}
 }
 
-func TestRunSeedsAggregates(t *testing.T) {
-	mean, std := RunSeeds([]int64{1, 2, 3}, func(s int64) float64 { return float64(s) })
-	if mean != 2 {
-		t.Fatalf("mean = %v", mean)
-	}
-	if math.Abs(std-1) > 1e-9 {
-		t.Fatalf("std = %v", std)
-	}
-}
-
 func TestFormatMuSigma(t *testing.T) {
 	if got := FormatMuSigma(0.638, 0.012); got != "63.8 ± 1.2" {
 		t.Fatalf("FormatMuSigma = %q", got)
-	}
-}
-
-func TestEvalGZSLHarmonic(t *testing.T) {
-	d, split := tinyData(20)
-	cfg := tinyPipeline(20)
-	cfg.PhaseII.Epochs, cfg.PhaseIII.Epochs = 2, 2
-	model, _ := cfg.Run(d, split, nil)
-	res := EvalGZSL(model, d, split, split.Train)
-	if res.SeenAcc < 0 || res.SeenAcc > 1 || res.UnseenAcc < 0 || res.UnseenAcc > 1 {
-		t.Fatalf("GZSL accuracies out of range: %+v", res)
-	}
-	if res.Harmonic > res.SeenAcc+res.UnseenAcc {
-		t.Fatalf("harmonic mean exceeds components: %+v", res)
-	}
-	// Harmonic mean formula.
-	if res.SeenAcc > 0 && res.UnseenAcc > 0 {
-		want := 2 * res.SeenAcc * res.UnseenAcc / (res.SeenAcc + res.UnseenAcc)
-		if math.Abs(res.Harmonic-want) > 1e-12 {
-			t.Fatalf("harmonic = %v, want %v", res.Harmonic, want)
-		}
-	}
-}
-
-func TestEvalGZSLWithoutSeenHoldout(t *testing.T) {
-	d, split := tinyData(21)
-	cfg := tinyPipeline(21)
-	model, _ := cfg.Build(d.Schema)
-	res := EvalGZSL(model, d, split, nil)
-	if res.SeenAcc != 0 {
-		t.Fatal("seen accuracy should be 0 without a holdout")
-	}
-	if res.Harmonic != 0 {
-		t.Fatal("harmonic must be 0 when one side is missing")
 	}
 }
 
@@ -377,9 +333,6 @@ func TestEvalDegenerateEmptySplit(t *testing.T) {
 	cfg := tinyPipeline(22)
 	model, _ := cfg.Build(d.Schema)
 	var empty dataset.Split
-	if res := EvalGZSL(model, d, empty, nil); res != (GZSLResult{}) {
-		t.Fatalf("EvalGZSL on empty split = %+v, want zeros", res)
-	}
 	if res := EvalZSC(model, d, empty); res != (ZSCResult{}) {
 		t.Fatalf("EvalZSC on empty split = %+v, want zeros", res)
 	}
@@ -388,14 +341,13 @@ func TestEvalDegenerateEmptySplit(t *testing.T) {
 // TestQuantizedEvalWithinHalfPoint pins the accuracy contract of the
 // quantized compiled path on the evaluation harnesses behind the
 // paper's tables: with the int8 plan installed (CompiledInt8, scales
-// calibrated on a training batch), seeded ZSC top-1/top-5 and GZSL
-// seen/unseen/harmonic all stay within 0.5 accuracy points of the f32
-// compiled readout. Every quantity here is deterministic — seeded
+// calibrated on a training batch), seeded ZSC top-1/top-5 stay within
+// 0.5 accuracy points of the f32 compiled readout. Every quantity here is deterministic — seeded
 // training, bitwise-deterministic f32 and int8 plans — so the deltas
 // are exact, not flaky margins.
 func TestQuantizedEvalWithinHalfPoint(t *testing.T) {
 	// Enough images per class that half a point is a meaningful budget:
-	// 4 test classes × 18 = 72 unseen instances, 144 seen-holdout.
+	// 4 test classes × 18 = 72 unseen instances.
 	dcfg := dataset.DefaultConfig()
 	dcfg.NumClasses = 12
 	dcfg.ImagesPerClass = 18
@@ -415,7 +367,6 @@ func TestQuantizedEvalWithinHalfPoint(t *testing.T) {
 	model, _ := cfg.Run(d, split, nil)
 
 	zF := EvalZSC(model, d, split)
-	gF := EvalGZSL(model, d, split, split.Train)
 
 	// Calibrate on a training batch at the serving geometry and install
 	// the quantized plan; the evaluation readout switches to int8.
@@ -431,7 +382,6 @@ func TestQuantizedEvalWithinHalfPoint(t *testing.T) {
 		t.Fatal("CompiledInt8 did not switch the evaluation readout")
 	}
 	zQ := EvalZSC(model, d, split)
-	gQ := EvalGZSL(model, d, split, split.Train)
 
 	pts := func(name string, f32, int8 float64) {
 		if d := math.Abs(f32-int8) * 100; d > 0.5 {
@@ -440,22 +390,18 @@ func TestQuantizedEvalWithinHalfPoint(t *testing.T) {
 	}
 	pts("ZSC top-1", zF.Top1, zQ.Top1)
 	pts("ZSC top-5", zF.Top5, zQ.Top5)
-	pts("GZSL seen", gF.SeenAcc, gQ.SeenAcc)
-	pts("GZSL unseen", gF.UnseenAcc, gQ.UnseenAcc)
-	pts("GZSL harmonic", gF.Harmonic, gQ.Harmonic)
 }
 
 // TestEvalDeterministicAcrossGOMAXPROCS pins the tentpole guarantee of
-// the concurrent embed pipeline: seeded ZSC/GZSL accuracies are
+// the concurrent embed pipeline: seeded ZSC accuracies are
 // byte-identical at any core count, for both the deterministic float
 // readout and the stochastic analog crossbar (whose readout is
 // consumed strictly in batch order).
 func TestEvalDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	// Enough images per class that every evaluated population spans
+	// Enough images per class that the evaluated population spans
 	// several embedding batches (batchSize 32): 4 test classes × 18 = 72
-	// test instances → 3 batches, 144 seen-holdout instances → 5. A
-	// single-batch split would leave the fan-out and the ordered
-	// stochastic readout unexercised.
+	// test instances → 3 batches. A single-batch split would leave the
+	// fan-out and the ordered stochastic readout unexercised.
 	dcfg := dataset.DefaultConfig()
 	dcfg.NumClasses = 12
 	dcfg.ImagesPerClass = 18
@@ -475,25 +421,21 @@ func TestEvalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		return infer.New(be, infer.WithWorkers(2))
 	}
 
-	run := func(procs int) (ZSCResult, ZSCResult, GZSLResult) {
+	run := func(procs int) (ZSCResult, ZSCResult) {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		return EvalZSC(model, d, split),
-			EvalZSCWithEngine(model, d, split, crossbarEngine()),
-			EvalGZSL(model, d, split, split.Train)
+			EvalZSCWithEngine(model, d, split, crossbarEngine())
 	}
 
-	zsc1, imc1, gzsl1 := run(1)
+	zsc1, imc1 := run(1)
 	for _, procs := range []int{2, 4} {
-		zscN, imcN, gzslN := run(procs)
+		zscN, imcN := run(procs)
 		if zscN != zsc1 {
 			t.Fatalf("EvalZSC differs at GOMAXPROCS=%d: %+v vs %+v", procs, zscN, zsc1)
 		}
 		if imcN != imc1 {
 			t.Fatalf("stochastic-crossbar eval differs at GOMAXPROCS=%d: %+v vs %+v", procs, imcN, imc1)
-		}
-		if gzslN != gzsl1 {
-			t.Fatalf("EvalGZSL differs at GOMAXPROCS=%d: %+v vs %+v", procs, gzslN, gzsl1)
 		}
 	}
 }

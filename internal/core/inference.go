@@ -14,7 +14,7 @@ import (
 // This file is the bridge between the trained model and the batched
 // inference engine (internal/infer): evaluation builds a Backend from the
 // model's frozen attribute embeddings and streams image embeddings
-// through the engine's sharded readout. EvalZSC/EvalGZSL use the float
+// through the engine's sharded readout. EvalZSC uses the float
 // reference backend; EvalZSCWithEngine accepts any engine (the packed
 // XOR+popcount edge path, the analog crossbar), which is how cmd/hdczsc
 // exposes backend selection.

@@ -28,10 +28,10 @@ type SimilarityKernel struct {
 	K *nn.Param
 
 	// forward caches
-	xn, pn   *tensor.Tensor // row-normalized embeddings
-	xnorm    *tensor.Tensor // row norms of x
-	pnorm    *tensor.Tensor // row norms of p
-	cos      *tensor.Tensor // raw cosine matrix
+	xn, pn *tensor.Tensor // row-normalized embeddings
+	xnorm  *tensor.Tensor // row norms of x
+	pnorm  *tensor.Tensor // row norms of p
+	cos    *tensor.Tensor // raw cosine matrix
 }
 
 // NewSimilarityKernel builds a kernel with initial temperature k.

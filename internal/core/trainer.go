@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/dataset"
-	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -261,19 +260,6 @@ func AttributeScores(img *ImageEncoder, kernel *SimilarityKernel, dict *tensor.T
 	}
 	emb, _ := EmbedInstances(img.Compiled(), d, instanceIdx, labelOf)
 	return kernel.Forward(emb, dict), targets
-}
-
-// RunSeeds repeats fn for each seed and aggregates the returned metric
-// into the paper's µ±σ format.
-func RunSeeds(seeds []int64, fn func(seed int64) float64) (mean, std float64) {
-	if len(seeds) == 0 {
-		panic("core.RunSeeds: no seeds")
-	}
-	vals := make([]float64, len(seeds))
-	for i, s := range seeds {
-		vals[i] = fn(s)
-	}
-	return metrics.MeanStd(vals)
 }
 
 // FormatMuSigma renders a µ±σ pair the way the paper reports results.

@@ -158,7 +158,7 @@ func TestPropertyRotateApproxInverse(t *testing.T) {
 	d := Generate(cfg)
 	img := d.Instances[0].Image
 	f := func(raw int8) bool {
-		deg := float64(raw%45)
+		deg := float64(raw % 45)
 		back := Rotate(Rotate(img, deg), -deg)
 		h, w := cfg.Height, cfg.Width
 		var diff float64

@@ -327,15 +327,6 @@ func (r *Router) Close() {
 	}
 }
 
-// Query is TryQuery panicking on error, mirroring Engine.Query.
-func (r *Router) Query(batch *infer.Batch, k int) []infer.Result {
-	res, err := r.TryQuery(batch, k)
-	if err != nil {
-		panic("dist.Router.Query: " + err.Error())
-	}
-	return res
-}
-
 // TryQuery fans batch out to every shard concurrently, with per-shard
 // timeouts and bounded replica failover, and merges the candidate
 // lists into globally ordered per-probe top-k results — the same

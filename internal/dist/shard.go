@@ -258,16 +258,6 @@ func (s *ShardServer) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves; the bound listener is
-// reachable via Addr once this returns or from another goroutine.
-func (s *ShardServer) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Addr returns the bound listener address, nil before Serve.
 func (s *ShardServer) Addr() net.Addr {
 	s.mu.Lock()

@@ -23,11 +23,11 @@ import (
 
 // DimAblationRow is one dimensionality setting's result.
 type DimAblationRow struct {
-	Dim          int
-	FactoredAcc  float64 // bound g⊙v codevectors (the paper's design)
+	Dim             int
+	FactoredAcc     float64 // bound g⊙v codevectors (the paper's design)
 	MaterializedAcc float64 // independent random vector per combination
-	NoisyAcc     float64 // factored, probe with 15 % of bits flipped
-	CodebookKB   float64
+	NoisyAcc        float64 // factored, probe with 15 % of bits flipped
+	CodebookKB      float64
 }
 
 // AblationResult is the full dimensionality/factoring study.

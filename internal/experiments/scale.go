@@ -89,7 +89,7 @@ func (sc Scale) Backbone101() nn.ResNetConfig {
 // HDC-ZSC's — so the reproduction gives them the ResNet101-topology
 // backbone at increased width.
 func (sc Scale) BaselineBackbone() nn.ResNetConfig {
-	return nn.MicroResNet101Config(sc.Width + 2).WithFlatten(sc.ImgSize, sc.ImgSize)
+	return nn.MicroResNet101Config(sc.Width+2).WithFlatten(sc.ImgSize, sc.ImgSize)
 }
 
 // Pipeline returns the preferred HDC-ZSC pipeline config for this scale.

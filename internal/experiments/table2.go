@@ -112,15 +112,3 @@ func (r Table2Result) CSV() string {
 	}
 	return b.String()
 }
-
-// PreferredRow returns the ResNet50+FC row at the scale's preferred d
-// (the configuration the paper selects).
-func (r Table2Result) PreferredRow() Table2Row {
-	best := r.Rows[0]
-	for _, row := range r.Rows {
-		if row.Variant.Label == "ResNet50+FC" {
-			return row
-		}
-	}
-	return best
-}

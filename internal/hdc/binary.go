@@ -103,19 +103,6 @@ func (b *Binary) Hamming(o *Binary) int {
 	return h
 }
 
-// NormalizedHamming returns Hamming distance divided by dimensionality;
-// 0 means identical, 0.5 is the expected distance of random vectors, and
-// 1 means complementary.
-func (b *Binary) NormalizedHamming(o *Binary) float64 {
-	return float64(b.Hamming(o)) / float64(b.dim)
-}
-
-// Cosine returns the bipolar-equivalent cosine similarity, which for the
-// bit↔±1 mapping equals 1 − 2·normalizedHamming.
-func (b *Binary) Cosine(o *Binary) float64 {
-	return 1 - 2*b.NormalizedHamming(o)
-}
-
 // Permute rotates components by k positions, the ρ operation.
 func (b *Binary) Permute(k int) *Binary {
 	out := NewBinary(b.dim)
@@ -197,10 +184,6 @@ func FromBipolar(v Bipolar) *Binary {
 	}
 	return b
 }
-
-// Bytes returns the storage size of the packed vector in bytes, used by
-// the memory-footprint accounting (§III-A).
-func (b *Binary) Bytes() int { return len(b.words) * 8 }
 
 // Words exposes the packed word slab (component i at bit i%64 of word
 // i/64, tail bits zero). Callers must treat it as read-only: it is the

@@ -50,25 +50,6 @@ func (c *Codebook) At(i int) Bipolar { return c.vectors[i] }
 // Name returns the i-th entry's name.
 func (c *Codebook) Name(i int) string { return c.names[i] }
 
-// Lookup returns the hypervector for name, or false if absent.
-func (c *Codebook) Lookup(name string) (Bipolar, bool) {
-	i, ok := c.index[name]
-	if !ok {
-		return nil, false
-	}
-	return c.vectors[i], true
-}
-
-// MustLookup returns the hypervector for name, panicking if absent; for
-// schema-driven callers where a miss is a programming error.
-func (c *Codebook) MustLookup(name string) Bipolar {
-	v, ok := c.Lookup(name)
-	if !ok {
-		panic(fmt.Sprintf("hdc.Codebook: unknown name %q", name))
-	}
-	return v
-}
-
 // Bytes returns the storage footprint of the codebook if each component is
 // stored as one bit (the packed stationary-weights deployment the paper
 // assumes when quoting 17 KB for the CUB codebooks).

@@ -120,13 +120,17 @@ func TestBundleCapacityDecaysWithK(t *testing.T) {
 	}
 }
 
+// TestAccumulatorCount pins that every Add counts once per component:
+// after two bipolar vectors each sum is −2, 0 or 2.
 func TestAccumulatorCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	acc := NewAccumulator(16)
 	acc.Add(NewRandomBipolar(rng, 16))
-	acc.AddWeighted(NewRandomBipolar(rng, 16), 3)
-	if acc.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", acc.Count())
+	acc.Add(NewRandomBipolar(rng, 16))
+	for i, s := range acc.sums {
+		if s != -2 && s != 0 && s != 2 {
+			t.Fatalf("sum[%d] = %d after two adds", i, s)
+		}
 	}
 }
 
@@ -139,12 +143,13 @@ func TestNewAccumulatorPanicsOnBadDim(t *testing.T) {
 	NewAccumulator(0)
 }
 
+// TestBinaryCosineMatchesHammingIdentity pins cos = 1 − 2·h/d between
+// the bipolar cosine and the packed Hamming distance of the same pair.
 func TestBinaryCosineMatchesHammingIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	a := NewRandomBinary(rng, 999)
-	b := NewRandomBinary(rng, 999)
-	// cos = 1 − 2·h/d must hold by construction.
-	want := 1 - 2*float64(a.Hamming(b))/999
+	a := NewRandomBipolar(rng, 999)
+	b := NewRandomBipolar(rng, 999)
+	want := 1 - 2*float64(FromBipolar(a).Hamming(FromBipolar(b)))/999
 	if math.Abs(a.Cosine(b)-want) > 1e-12 {
 		t.Fatalf("cosine identity broken: %v vs %v", a.Cosine(b), want)
 	}

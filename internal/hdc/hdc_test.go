@@ -7,6 +7,13 @@ import (
 	"testing/quick"
 )
 
+// bind returns a ⊙ b through BindInto.
+func bind(a, b Bipolar) Bipolar {
+	out := make(Bipolar, len(a))
+	a.BindInto(b, out)
+	return out
+}
+
 func TestNewRandomBipolarComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v := NewRandomBipolar(rng, 1000)
@@ -52,14 +59,14 @@ func TestQuasiOrthogonality(t *testing.T) {
 	}
 }
 
-// Property: binding is self-inverse, (a⊙b)⊘b = a.
+// Property: binding is self-inverse, (a⊙b)⊙b = a.
 func TestPropertyBindSelfInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		d := 64 + rng.Intn(512)
 		a := NewRandomBipolar(rng, d)
 		b := NewRandomBipolar(rng, d)
-		back := a.Bind(b).Unbind(b)
+		back := bind(bind(a, b), b)
 		for i := range a {
 			if back[i] != a[i] {
 				t.Fatalf("trial %d: bind not self-inverse at component %d", trial, i)
@@ -76,7 +83,7 @@ func TestPropertyBindQuasiOrthogonalToOperands(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		a := NewRandomBipolar(rng, d)
 		b := NewRandomBipolar(rng, d)
-		ab := a.Bind(b)
+		ab := bind(a, b)
 		if c := ab.Cosine(a); math.Abs(c) > 0.1 {
 			t.Fatalf("bound vector correlated with operand a: %v", c)
 		}
@@ -91,13 +98,13 @@ func TestPropertyBindCommutativeAssociative(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := 256
 	a, b, c := NewRandomBipolar(rng, d), NewRandomBipolar(rng, d), NewRandomBipolar(rng, d)
-	ab, ba := a.Bind(b), b.Bind(a)
+	ab, ba := bind(a, b), bind(b, a)
 	for i := range ab {
 		if ab[i] != ba[i] {
 			t.Fatal("bind not commutative")
 		}
 	}
-	l, r := a.Bind(b).Bind(c), a.Bind(b.Bind(c))
+	l, r := bind(bind(a, b), c), bind(a, bind(b, c))
 	for i := range l {
 		if l[i] != r[i] {
 			t.Fatal("bind not associative")
@@ -184,12 +191,16 @@ func TestAccumulatorTieBreakIsBipolar(t *testing.T) {
 	}
 }
 
+// TestAccumulatorWeighted pins weighting by multiplicity: a vector
+// added five times dominates one added once.
 func TestAccumulatorWeighted(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d := 1024
 	a, b := NewRandomBipolar(rng, d), NewRandomBipolar(rng, d)
 	acc := NewAccumulator(d)
-	acc.AddWeighted(a, 5)
+	for i := 0; i < 5; i++ {
+		acc.Add(a)
+	}
 	acc.Add(b)
 	out := acc.Threshold(rng)
 	// Weight 5 vs 1: the bundle must essentially equal a.
@@ -212,10 +223,10 @@ func TestBindDimensionMismatchPanics(t *testing.T) {
 	a, b := NewRandomBipolar(rng, 8), NewRandomBipolar(rng, 9)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Bind with mismatched dims did not panic")
+			t.Fatal("BindInto with mismatched dims did not panic")
 		}
 	}()
-	a.Bind(b)
+	a.BindInto(b, make(Bipolar, 8))
 }
 
 // --- Packed binary representation ---
@@ -273,13 +284,13 @@ func TestBipolarBinaryIsomorphism(t *testing.T) {
 		}
 	}
 	// Bind commutes with packing.
-	bound := FromBipolar(a.Bind(b))
+	bound := FromBipolar(bind(a, b))
 	if bound.Hamming(pa.Xor(pb)) != 0 {
 		t.Fatal("XOR does not implement bipolar binding")
 	}
-	// Similarity agrees.
-	if math.Abs(a.Cosine(b)-pa.Cosine(pb)) > 1e-9 {
-		t.Fatalf("cosine mismatch: bipolar %v vs binary %v", a.Cosine(b), pa.Cosine(pb))
+	// Similarity agrees: cos = 1 − 2·h/d.
+	if c := 1 - 2*float64(pa.Hamming(pb))/float64(d); math.Abs(a.Cosine(b)-c) > 1e-9 {
+		t.Fatalf("cosine mismatch: bipolar %v vs binary %v", a.Cosine(b), c)
 	}
 	// Hamming agrees.
 	if a.Hamming(b) != pa.Hamming(pb) {
@@ -327,18 +338,16 @@ func TestFromBipolarRejectsZeros(t *testing.T) {
 
 // --- Codebook ---
 
+// TestCodebookLookup pins lookup by index: entries keep the order of
+// the names they were built from.
 func TestCodebookLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	cb := NewCodebook(rng, 256, []string{"blue", "brown", "red"})
 	if cb.Len() != 3 || cb.Dim() != 256 {
 		t.Fatalf("bad codebook dims: len=%d d=%d", cb.Len(), cb.Dim())
 	}
-	v, ok := cb.Lookup("brown")
-	if !ok || v.Dim() != 256 {
-		t.Fatal("Lookup failed")
-	}
-	if _, ok := cb.Lookup("green"); ok {
-		t.Fatal("Lookup invented an entry")
+	if v := cb.At(1); v.Dim() != 256 || cb.Name(1) != "brown" {
+		t.Fatal("lookup of entry 1 failed")
 	}
 	if cb.Name(2) != "red" {
 		t.Fatal("Name order broken")
@@ -465,9 +474,10 @@ func BenchmarkBindBipolar(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := NewRandomBipolar(rng, 1536)
 	y := NewRandomBipolar(rng, 1536)
+	dst := make(Bipolar, 1536)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.Bind(y)
+		x.BindInto(y, dst)
 	}
 }
 

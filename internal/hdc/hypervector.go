@@ -59,27 +59,11 @@ func NewRandomBipolar(rng *rand.Rand, d int) Bipolar {
 // Dim returns the dimensionality of the hypervector.
 func (v Bipolar) Dim() int { return len(v) }
 
-// Clone returns a copy of v.
-func (v Bipolar) Clone() Bipolar {
-	c := make(Bipolar, len(v))
-	copy(c, v)
-	return c
-}
-
-// Bind computes the variable-binding product v ⊙ o (elementwise
-// multiplication for dense bipolar vectors, per Schmuck et al. [30]).
-// Binding two Rademacher vectors yields a vector quasi-orthogonal to both.
-func (v Bipolar) Bind(o Bipolar) Bipolar {
-	checkDims("Bind", len(v), len(o))
-	out := make(Bipolar, len(v))
-	for i := range v {
-		out[i] = v[i] * o[i]
-	}
-	return out
-}
-
-// BindInto computes v ⊙ o into dst without allocating. dst may alias v
-// or o. Non-allocating counterpart of Bind for buffer-reuse hot paths.
+// BindInto computes the variable-binding product v ⊙ o into dst
+// without allocating (elementwise multiplication for dense bipolar
+// vectors, per Schmuck et al. [30]). Binding two Rademacher vectors
+// yields a vector quasi-orthogonal to both, and binding is its own
+// inverse: (a⊙b)⊙b = a. dst may alias v or o.
 func (v Bipolar) BindInto(o, dst Bipolar) {
 	checkDims("BindInto", len(v), len(o))
 	checkDims("BindInto", len(v), len(dst))
@@ -87,10 +71,6 @@ func (v Bipolar) BindInto(o, dst Bipolar) {
 		dst[i] = v[i] * o[i]
 	}
 }
-
-// Unbind recovers a ⊘ b. For bipolar vectors binding is self-inverse, so
-// unbinding is the same elementwise multiplication: (a⊙b)⊘b = a.
-func (v Bipolar) Unbind(o Bipolar) Bipolar { return v.Bind(o) }
 
 // Permute rotates the components of v by k positions (the ρ operation).
 // Permutation preserves quasi-orthogonality and is used to encode order.
@@ -152,7 +132,6 @@ func (v Bipolar) Float32() []float32 {
 // bundling (+) operation with majority rule.
 type Accumulator struct {
 	sums []int32
-	n    int
 }
 
 // NewAccumulator returns an accumulator for d-dimensional vectors.
@@ -169,20 +148,7 @@ func (a *Accumulator) Add(v Bipolar) {
 	for i, x := range v {
 		a.sums[i] += int32(x)
 	}
-	a.n++
 }
-
-// AddWeighted accumulates v scaled by the integer weight w.
-func (a *Accumulator) AddWeighted(v Bipolar, w int32) {
-	checkDims("Accumulator.AddWeighted", len(a.sums), len(v))
-	for i, x := range v {
-		a.sums[i] += w * int32(x)
-	}
-	a.n++
-}
-
-// Count returns the number of vectors accumulated so far.
-func (a *Accumulator) Count() int { return a.n }
 
 // Threshold finalizes the bundle by majority rule. Zero sums (ties, which
 // occur when an even number of vectors is bundled) are broken

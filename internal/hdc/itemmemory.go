@@ -63,14 +63,11 @@ func ItemMemoryFromSlab(d int, labels []string, flat []uint64) *ItemMemory {
 	return &ItemMemory{labels: labels, flat: flat, dim: d, wpv: wpv}
 }
 
-// Slab exposes the backing word slab (row-major, WordsPerVector words
-// per item). Callers must treat the returned slice as read-only; it is
+// Slab exposes the backing word slab (row-major, ⌈d/64⌉ words per
+// item). Callers must treat the returned slice as read-only; it is
 // how the versioned class memory seeds its growable backing from a
 // frozen Build without re-encoding.
 func (m *ItemMemory) Slab() []uint64 { return m.flat }
-
-// WordsPerVector returns the packed row stride in 64-bit words.
-func (m *ItemMemory) WordsPerVector() int { return m.wpv }
 
 // Len returns the number of stored items.
 func (m *ItemMemory) Len() int { return len(m.labels) }

@@ -116,37 +116,19 @@ func (c *Crossbar) Rows() int { return c.programmed.Dim(0) }
 // Cols returns the input dimension.
 func (c *Crossbar) Cols() int { return c.programmed.Dim(1) }
 
-// MatVec performs one analog matrix-vector product W·x with read noise
-// and ADC quantization applied to the output.
-func (c *Crossbar) MatVec(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 1 || x.Dim(0) != c.Cols() {
-		panic(fmt.Sprintf("imc.MatVec: input %v incompatible with crossbar %dx%d",
-			x.Shape(), c.Rows(), c.Cols()))
-	}
-	out := tensor.MatVec(c.programmed, x)
-	c.corrupt(out, x)
-	return out
-}
-
-// MatMulT computes X·Wᵀ for a batch X [n, cols] → [n, rows], applying
-// read noise and quantization per row — the batched similarity-kernel
-// call pattern.
-func (c *Crossbar) MatMulT(x *tensor.Tensor) *tensor.Tensor {
-	return c.MatMulTInto(tensor.New(x.Dim(0), c.Rows()), x)
-}
-
-// MatMulTInto is MatMulT writing into the caller's dst [n, rows] without
-// allocating — the steady-state path of the inference engine's crossbar
-// backend. The ideal products run through the packed register-blocked
-// GEMM over a cached transpose-packed tile of the programmed matrix
-// (one analog array computes all its output lines at once; the digital
-// model may too — FloatBackend uses the same kernel, which is what
-// keeps the ideal crossbar bit-identical to the float reference). The
-// noise stream consumption is identical to MatMulT (one corrupt pass
-// per probe row, in row order), so seeded noisy runs stay reproducible.
+// MatMulTInto computes X·Wᵀ for a batch X [n, cols] into the caller's
+// dst [n, rows] without allocating, applying read noise and ADC
+// quantization per probe row — the steady-state path of the inference
+// engine's crossbar backend. The ideal products run through the packed
+// register-blocked GEMM over a cached transpose-packed tile of the
+// programmed matrix (one analog array computes all its output lines at
+// once; the digital model may too — FloatBackend uses the same kernel,
+// which is what keeps the ideal crossbar bit-identical to the float
+// reference). The noise stream is consumed one corruptRow pass per probe
+// row, in row order, so seeded noisy runs stay reproducible.
 func (c *Crossbar) MatMulTInto(dst, x *tensor.Tensor) *tensor.Tensor {
 	if x.Rank() != 2 || x.Dim(1) != c.Cols() {
-		panic(fmt.Sprintf("imc.MatMulT: input %v incompatible with crossbar %dx%d",
+		panic(fmt.Sprintf("imc.MatMulTInto: input %v incompatible with crossbar %dx%d",
 			x.Shape(), c.Rows(), c.Cols()))
 	}
 	pb := c.packedT.Load()
@@ -162,14 +144,10 @@ func (c *Crossbar) MatMulTInto(dst, x *tensor.Tensor) *tensor.Tensor {
 	return dst
 }
 
-// corrupt applies read noise and ADC quantization in place. The noise
-// and clipping ranges are referenced to the worst-case ideal output
-// magnitude scale·‖x‖₁, the physically meaningful full-scale range.
-func (c *Crossbar) corrupt(out *tensor.Tensor, x *tensor.Tensor) {
-	c.corruptRow(out.Data, x.Data)
-}
-
-// corruptRow is corrupt on raw slices (one output line set, one probe).
+// corruptRow applies read noise and ADC quantization in place to one
+// probe's output lines. The noise and clipping ranges are referenced to
+// the worst-case ideal output magnitude scale·‖x‖₁, the physically
+// meaningful full-scale range.
 func (c *Crossbar) corruptRow(out, x []float32) {
 	var l1 float64
 	for _, v := range x {

@@ -9,13 +9,24 @@ import (
 	"repro/internal/tensor"
 )
 
+// mvm runs one analog matrix-vector product W·x through the batched
+// MatMulTInto on a one-row probe.
+func mvm(bar *Crossbar, x *tensor.Tensor) *tensor.Tensor {
+	return bar.MatMulTInto(tensor.New(1, bar.Rows()), x.Reshape(1, x.Len()))
+}
+
+// matVec is the exact product W·x.
+func matVec(w, x *tensor.Tensor) *tensor.Tensor {
+	return tensor.MatMulT(x.Reshape(1, x.Len()), w)
+}
+
 func TestIdealCrossbarMatchesExactMatVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	w := tensor.Randn(rng, 1, 5, 7)
 	x := tensor.Randn(rng, 1, 7)
 	bar := Program(w, Ideal())
-	got := bar.MatVec(x)
-	want := tensor.MatVec(w, x)
+	got := mvm(bar, x)
+	want := tensor.MatMul(x.Reshape(1, 7), tensor.Transpose2D(w))
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("ideal crossbar diverges at %d: %v vs %v", i, got.Data[i], want.Data[i])
@@ -29,8 +40,8 @@ func TestProgrammingNoiseIsFrozenPerDevice(t *testing.T) {
 	cfg := Config{ProgNoise: 0.1, Seed: 3}
 	bar := Program(w, cfg)
 	x := tensor.Randn(rng, 1, 6)
-	a := bar.MatVec(x)
-	b := bar.MatVec(x)
+	a := mvm(bar, x)
+	b := mvm(bar, x)
 	// No read noise configured: repeated reads of the same device must
 	// agree exactly even though the device differs from the ideal.
 	for i := range a.Data {
@@ -38,7 +49,7 @@ func TestProgrammingNoiseIsFrozenPerDevice(t *testing.T) {
 			t.Fatal("programming noise must be drawn once, not per read")
 		}
 	}
-	ideal := tensor.MatVec(w, x)
+	ideal := matVec(w, x)
 	var diff float64
 	for i := range a.Data {
 		diff += math.Abs(float64(a.Data[i] - ideal.Data[i]))
@@ -53,8 +64,8 @@ func TestReadNoiseVariesPerRead(t *testing.T) {
 	w := tensor.Randn(rng, 1, 4, 6)
 	bar := Program(w, Config{ReadNoise: 0.05, Seed: 5})
 	x := tensor.Randn(rng, 1, 6)
-	a := bar.MatVec(x)
-	b := bar.MatVec(x)
+	a := mvm(bar, x)
+	b := mvm(bar, x)
 	same := true
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
@@ -70,7 +81,7 @@ func TestADCQuantizationSnapsToGrid(t *testing.T) {
 	w := tensor.FromSlice([]float32{1, 0, 0, 1}, 2, 2)
 	bar := Program(w, Config{ADCBits: 4, Seed: 6})
 	x := tensor.FromSlice([]float32{0.33, 0.77}, 2)
-	out := bar.MatVec(x)
+	out := mvm(bar, x)
 	// Full scale = scale·‖x‖₁ = 1·1.1; step = 2·1.1/16.
 	step := 2 * 1.1 / 16
 	for _, v := range out.Data {
@@ -85,10 +96,10 @@ func TestADCFewBitsLosesPrecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w := tensor.Randn(rng, 1, 8, 16)
 	x := tensor.Randn(rng, 1, 16)
-	exact := tensor.MatVec(w, x)
+	exact := matVec(w, x)
 	errAt := func(bits int) float64 {
 		bar := Program(w, Config{ADCBits: bits, Seed: 8})
-		out := bar.MatVec(x)
+		out := mvm(bar, x)
 		var e float64
 		for i := range out.Data {
 			e += math.Abs(float64(out.Data[i] - exact.Data[i]))
@@ -105,9 +116,9 @@ func TestMatMulTBatchesMatchMatVec(t *testing.T) {
 	w := tensor.Randn(rng, 1, 3, 5)
 	bar := Program(w, Ideal())
 	x := tensor.Randn(rng, 1, 4, 5)
-	batch := bar.MatMulT(x)
+	batch := bar.MatMulTInto(tensor.New(4, 3), x)
 	for r := 0; r < 4; r++ {
-		row := bar.MatVec(tensor.FromSlice(append([]float32(nil), x.Row(r)...), 5))
+		row := mvm(bar, tensor.FromSlice(append([]float32(nil), x.Row(r)...), 5))
 		for c := 0; c < 3; c++ {
 			if math.Abs(float64(batch.At(r, c)-row.Data[c])) > 1e-5 {
 				t.Fatalf("batched MVM diverges at (%d,%d)", r, c)
@@ -185,10 +196,10 @@ func TestMatVecPanicsOnBadInput(t *testing.T) {
 	bar := Program(tensor.New(2, 3), Ideal())
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MatVec accepted wrong input size")
+			t.Fatal("MatMulTInto accepted wrong input size")
 		}
 	}()
-	bar.MatVec(tensor.New(4))
+	bar.MatMulTInto(tensor.New(1, 2), tensor.New(1, 4))
 }
 
 // A row-range tile under ideal conditions must reproduce exactly the

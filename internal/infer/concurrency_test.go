@@ -38,9 +38,9 @@ func concurrencyFixture(t *testing.T, classes, d, maxBatch int) ([]Backend, []*B
 	var batches []*Batch
 	for n := 1; n <= maxBatch; n = n*2 + 1 {
 		dense := tensor.Randn(rng, 1, n, d)
-		b, err := NewBatch(dense, PackSign(dense))
-		if err != nil {
-			t.Fatalf("NewBatch: %v", err)
+		b := &Batch{Dense: dense, Packed: PackSign(dense)}
+		if err := b.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
 		}
 		batches = append(batches, b)
 	}

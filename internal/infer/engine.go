@@ -30,9 +30,9 @@ type Engine struct {
 // queries never share mutable state.
 type queryScratch struct {
 	shards []*shardScratch
-	counts []int      // valid candidates per probe, per shard
-	merged []Hit      // cross-shard merge buffer, reused per probe
-	sorter HitSorter  // scratch-held sort.Interface for the merge
+	counts []int     // valid candidates per probe, per shard
+	merged []Hit     // cross-shard merge buffer, reused per probe
+	sorter HitSorter // scratch-held sort.Interface for the merge
 }
 
 // HitLess is THE result ordering of the engine: descending score, ties
@@ -59,13 +59,6 @@ type HitSorter struct{ H []Hit }
 func (s *HitSorter) Len() int           { return len(s.H) }
 func (s *HitSorter) Swap(a, b int)      { s.H[a], s.H[b] = s.H[b], s.H[a] }
 func (s *HitSorter) Less(a, b int) bool { return HitLess(s.H[a], s.H[b]) }
-
-// SortHits sorts hits into the engine ordering. Convenience for cold
-// paths and tests; hot merge loops hold a HitSorter instead.
-func SortHits(h []Hit) {
-	s := HitSorter{H: h}
-	sort.Sort(&s)
-}
 
 // shardScratch is the per-shard reusable working set: the score matrix
 // rows handed to Backend.ScoreShard and the local top-k candidates.
@@ -326,8 +319,8 @@ func (e *Engine) TryQueryInto(batch *Batch, k int, buf *ResultBuf) ([]Result, er
 		results = buf.take(n, k)
 		backing = buf.backing
 	} else {
-		results = make([]Result, n)   //hdc:allow hotpathalloc nil-buf calls return caller-owned results by documented contract
-		backing = make([]Hit, n*k)    //hdc:allow hotpathalloc nil-buf calls return caller-owned results by documented contract
+		results = make([]Result, n) //hdc:allow hotpathalloc nil-buf calls return caller-owned results by documented contract
+		backing = make([]Hit, n*k)  //hdc:allow hotpathalloc nil-buf calls return caller-owned results by documented contract
 	}
 	if cap(qs.merged) < e.workers*k {
 		qs.merged = make([]Hit, 0, e.workers*k) //hdc:allow hotpathalloc amortized merge-scratch growth; the steady state reuses capacity
@@ -359,6 +352,7 @@ func (e *Engine) TryQueryInto(batch *Batch, k int, buf *ResultBuf) ([]Result, er
 
 // batchContents names the representations a batch carries, for error
 // messages.
+//
 //hdc:coldpath diagnostic string building for rejected queries
 func batchContents(b *Batch) string {
 	switch {

@@ -114,19 +114,6 @@ func DenseBatch(x *tensor.Tensor) *Batch {
 // PackedBatch wraps packed binary probes as a batch for BinaryBackend.
 func PackedBatch(vs []*hdc.Binary) *Batch { return &Batch{Packed: vs} }
 
-// NewBatch builds a batch carrying both representations of the same
-// probes, validating that they agree before the batch can reach an
-// engine. Either argument may be nil (single-representation batch); with
-// both populated a row-count mismatch returns ErrBatchMismatch instead
-// of silently mis-indexing probes in Engine.Query.
-func NewBatch(dense *tensor.Tensor, packed []*hdc.Binary) (*Batch, error) {
-	b := &Batch{Dense: dense, Packed: packed}
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 // Len returns the number of probes in the batch.
 func (b *Batch) Len() int {
 	if b.Dense != nil {
@@ -258,9 +245,6 @@ type Hit struct {
 type Result struct {
 	TopK []Hit
 }
-
-// Best returns the top-1 hit.
-func (r Result) Best() Hit { return r.TopK[0] }
 
 // PackSign packs dense embeddings [n, d] into binary hypervectors by
 // sign: a non-negative component maps to bipolar +1 (clear bit), a

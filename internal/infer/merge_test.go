@@ -3,6 +3,7 @@ package infer
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/tensor"
@@ -24,7 +25,8 @@ func newTestFloatBackend(rng *rand.Rand, classes, d int) *FloatBackend {
 
 // mergeSplit runs the engine's scatter-gather selection by hand over an
 // arbitrary contiguous split of one score row: per-range selectTopK,
-// concatenate, SortHits, take k — exactly TryQueryInto's phase 1 + 2.
+// concatenate, sort by HitLess, take k — exactly TryQueryInto's phase
+// 1 + 2.
 func mergeSplit(scores []float64, ranges [][2]int, k int) []Hit {
 	var cands []Hit
 	for _, r := range ranges {
@@ -37,7 +39,7 @@ func mergeSplit(scores []float64, ranges [][2]int, k int) []Hit {
 		selectTopK(scores[lo:hi], lo, dst)
 		cands = append(cands, dst...)
 	}
-	SortHits(cands)
+	sort.Sort(&HitSorter{H: cands})
 	if len(cands) > k {
 		cands = cands[:k]
 	}

@@ -40,9 +40,6 @@ func (b *rangeBackend) Classes() int       { return b.n }
 func (b *rangeBackend) Dim() int           { return b.inner.Dim() }
 func (b *rangeBackend) Label(c int) string { return b.inner.Label(b.base + c) }
 
-// Base returns the global class index of local class 0.
-func (b *rangeBackend) Base() int { return b.base }
-
 // Requires passes through the inner backend's declaration, defaulting
 // to RepDense when it makes none (the serving layer's historical
 // assumption for undeclared backends).

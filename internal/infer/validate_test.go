@@ -24,7 +24,7 @@ func validateFixture(classes, d int) (*FloatBackend, *BinaryBackend, *CrossbarBa
 }
 
 // A batch populating both representations with disagreeing probe counts
-// must fail fast at construction and at the query boundary, not silently
+// must fail fast at validation and at the query boundary, not silently
 // mis-index probes mid-shard.
 func TestBatchDensePackedCountMismatch(t *testing.T) {
 	const classes, d = 7, 128
@@ -35,13 +35,13 @@ func TestBatchDensePackedCountMismatch(t *testing.T) {
 		packed[i] = hdc.NewRandomBinary(rng, d)
 	}
 
-	if _, err := NewBatch(dense, packed); !errors.Is(err, ErrBatchMismatch) {
-		t.Fatalf("NewBatch error = %v, want ErrBatchMismatch", err)
+	bad := &Batch{Dense: dense, Packed: packed}
+	if err := bad.Validate(); !errors.Is(err, ErrBatchMismatch) {
+		t.Fatalf("Validate error = %v, want ErrBatchMismatch", err)
 	}
 
 	fb, _, _ := validateFixture(classes, d)
 	eng := New(fb)
-	bad := &Batch{Dense: dense, Packed: packed}
 	if _, err := eng.TryQuery(bad, 1); !errors.Is(err, ErrBatchMismatch) {
 		t.Fatalf("TryQuery error = %v, want ErrBatchMismatch", err)
 	}
@@ -128,7 +128,7 @@ func TestQueryProbeDimMismatch(t *testing.T) {
 	// batch regardless of backend.
 	mixed := &Batch{
 		Dense:  tensor.Randn(rng, 1, 1, d),
-		Packed: []*hdc.Binary{hdc.NewRandomBinary(rng, d / 2)},
+		Packed: []*hdc.Binary{hdc.NewRandomBinary(rng, d/2)},
 	}
 	if err := mixed.Validate(); !errors.Is(err, ErrBatchMismatch) {
 		t.Fatalf("cross-representation dim mismatch: err = %v, want ErrBatchMismatch", err)

@@ -85,9 +85,6 @@ func (h *Hist) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of recorded observations.
-func (h *Hist) Count() uint64 { return h.count.Load() }
-
 // Snapshot is a consistent-enough copy of a histogram for reporting:
 // counters are read individually, so a snapshot taken under concurrent
 // Observe traffic may be off by the few in-flight observations —

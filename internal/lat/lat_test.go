@@ -101,7 +101,7 @@ func TestConcurrentObserve(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*per {
+	if got := h.count.Load(); got != workers*per {
 		t.Fatalf("lost observations: %d, want %d", got, workers*per)
 	}
 	if s := h.Snapshot(); s.Count != workers*per {

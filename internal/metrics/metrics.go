@@ -101,37 +101,6 @@ func WMAP(scores, targets *tensor.Tensor) float64 {
 	return acc / wsum
 }
 
-// MAP is the unweighted mean average precision over attribute columns
-// with at least one positive.
-func MAP(scores, targets *tensor.Tensor) float64 {
-	if !scores.SameShape(targets) || scores.Rank() != 2 {
-		panic(fmt.Sprintf("metrics.MAP: scores %v vs targets %v", scores.Shape(), targets.Shape()))
-	}
-	n, alpha := scores.Dim(0), scores.Dim(1)
-	col := make([]float32, n)
-	tcol := make([]float32, n)
-	var count, acc float64
-	for a := 0; a < alpha; a++ {
-		var pos float64
-		for i := 0; i < n; i++ {
-			col[i] = scores.At(i, a)
-			tcol[i] = targets.At(i, a)
-			if tcol[i] > 0.5 {
-				pos++
-			}
-		}
-		if pos == 0 {
-			continue
-		}
-		acc += AveragePrecision(col, tcol)
-		count++
-	}
-	if count == 0 {
-		return 0
-	}
-	return acc / count
-}
-
 // GroupTop1Accuracy computes, for one attribute group occupying score
 // columns [off, off+size), the fraction of samples whose highest-scoring
 // value within the group matches the ground-truth active value — the
@@ -221,23 +190,4 @@ func ParetoFront(points []Point) []Point {
 	}
 	sort.Slice(front, func(a, b int) bool { return front[a].Params < front[b].Params })
 	return front
-}
-
-// OnFront reports whether the named point is part of the Pareto front.
-func OnFront(points []Point, name string) bool {
-	for _, p := range ParetoFront(points) {
-		if p.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// HarmonicMean returns 2ab/(a+b), the standard GZSL summary of seen and
-// unseen accuracies; zero when either input is zero.
-func HarmonicMean(a, b float64) float64 {
-	if a+b == 0 {
-		return 0
-	}
-	return 2 * a * b / (a + b)
 }

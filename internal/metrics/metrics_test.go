@@ -75,6 +75,26 @@ func TestWMAPBoundsProperty(t *testing.T) {
 	}
 }
 
+// meanAP is the unweighted mean of AveragePrecision over attribute
+// columns with at least one positive — the reference WMAP reweights.
+func meanAP(scores, targets *tensor.Tensor) float64 {
+	n, alpha := scores.Dim(0), scores.Dim(1)
+	var count, acc float64
+	for a := 0; a < alpha; a++ {
+		col, tcol := make([]float32, n), make([]float32, n)
+		pos := false
+		for i := 0; i < n; i++ {
+			col[i], tcol[i] = scores.At(i, a), targets.At(i, a)
+			pos = pos || tcol[i] > 0.5
+		}
+		if pos {
+			acc += AveragePrecision(col, tcol)
+			count++
+		}
+	}
+	return acc / count
+}
+
 func TestWMAPPerfectPredictor(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	targets := tensor.New(20, 5)
@@ -87,9 +107,6 @@ func TestWMAPPerfectPredictor(t *testing.T) {
 	scores := targets.Clone()
 	if got := WMAP(scores, targets); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("WMAP of perfect predictor = %v, want 1", got)
-	}
-	if got := MAP(scores, targets); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("MAP of perfect predictor = %v, want 1", got)
 	}
 }
 
@@ -113,7 +130,7 @@ func TestWMAPUpweightsRareAttributes(t *testing.T) {
 	targets.Set(1, 3, 1)
 	scores.Set(5, 3, 1) // perfect for attribute 1
 	wmap := WMAP(scores, targets)
-	mapv := MAP(scores, targets)
+	mapv := meanAP(scores, targets)
 	if wmap <= mapv {
 		t.Fatalf("WMAP (%v) should exceed MAP (%v) when the rare attribute is the well-predicted one", wmap, mapv)
 	}
@@ -174,9 +191,6 @@ func TestParetoFront(t *testing.T) {
 	}
 	if names["eszsl"] || names["small-bad"] {
 		t.Fatalf("dominated points on front: %v", front)
-	}
-	if !OnFront(pts, "ours") {
-		t.Fatal("OnFront disagrees with ParetoFront")
 	}
 	// Sorted by params.
 	for i := 1; i < len(front); i++ {

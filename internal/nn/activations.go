@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math/rand"
-
 	"repro/internal/tensor"
 )
 
@@ -49,59 +47,6 @@ func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil; ReLU has no parameters.
 func (r *ReLU) Params() []*Param { return nil }
-
-// Dropout zeroes activations with probability P during training and
-// rescales survivors by 1/(1−P) (inverted dropout), passing inputs through
-// unchanged at evaluation time.
-type Dropout struct {
-	P    float32
-	rng  *rand.Rand
-	mask []bool
-}
-
-// NewDropout builds a dropout layer with drop probability p using rng.
-func NewDropout(rng *rand.Rand, p float32) *Dropout {
-	if p < 0 || p >= 1 {
-		panic("nn.Dropout: p must be in [0, 1)")
-	}
-	return &Dropout{P: p, rng: rng}
-}
-
-// Forward applies dropout in training mode.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.P == 0 {
-		d.mask = nil
-		return x
-	}
-	out := tensor.New(x.Shape()...)
-	d.mask = make([]bool, x.Len())
-	scale := 1 / (1 - d.P)
-	for i, v := range x.Data {
-		if d.rng.Float32() >= d.P {
-			out.Data[i] = v * scale
-			d.mask[i] = true
-		}
-	}
-	return out
-}
-
-// Backward propagates gradient only through surviving units.
-func (d *Dropout) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if d.mask == nil {
-		return dout
-	}
-	dx := tensor.New(dout.Shape()...)
-	scale := 1 / (1 - d.P)
-	for i, keep := range d.mask {
-		if keep {
-			dx.Data[i] = dout.Data[i] * scale
-		}
-	}
-	return dx
-}
-
-// Params returns nil; Dropout has no parameters.
-func (d *Dropout) Params() []*Param { return nil }
 
 // Flatten reshapes [N, C, H, W] activations to [N, C·H·W]; backward
 // restores the original shape.

@@ -97,8 +97,8 @@ type planKey struct{ a, b, c int }
 
 // Compile builds a compiler over l, which must be composed of the
 // layer types this package knows how to lower (Conv2D, BatchNorm2D,
-// ReLU, Dropout, Linear, Flatten, MaxPool2D, GlobalAvgPool, Sequential,
-// residual blocks, ResNet, and Compilable composites). The returned
+// ReLU, Linear, Flatten, GlobalAvgPool, Sequential, residual blocks,
+// ResNet, and Compilable composites). The returned
 // CompiledNet builds its execution plans on first use per input shape.
 func Compile(l Layer) (*CompiledNet, error) {
 	bns, err := scanCompilable(l)
@@ -142,7 +142,7 @@ func scanCompilable(l Layer) ([]*BatchNorm2D, error) {
 			return walk(t.main)
 		case *BatchNorm2D:
 			bns = append(bns, t)
-		case *Conv2D, *Linear, *ReLU, *Dropout, *Flatten, *MaxPool2D, *GlobalAvgPool:
+		case *Conv2D, *Linear, *ReLU, *Flatten, *GlobalAvgPool:
 		case Compilable:
 			for _, c := range t.CompileChain() {
 				if err := walk(c); err != nil {
@@ -162,6 +162,7 @@ func scanCompilable(l Layer) ([]*BatchNorm2D, error) {
 
 // fingerprint returns the current fold key: every parameter version,
 // then every batch-norm running-stat content hash, in scan order.
+//
 //hdc:coldpath version probe allocates only on rebuild checks
 func (c *CompiledNet) fingerprint() []uint64 {
 	fp := make([]uint64, 0, len(c.params)+len(c.bns))
@@ -197,6 +198,7 @@ func (c *CompiledNet) fresh(fp []uint64) bool {
 // network changed since the plan was built. The output tensor is
 // scratch-backed (valid until s.Reset); with a warm Scratch and a built
 // plan the call allocates nothing.
+//
 //hdc:hotpath
 func (c *CompiledNet) Infer(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	var key planKey
@@ -267,6 +269,7 @@ func (c *CompiledNet) Precompile(sampleShape ...int) error {
 
 // refold publishes a fresh empty state for the network's current
 // versions (plans rebuild lazily per geometry).
+//
 //hdc:coldpath rebuild after a version bump; runs once per mutation
 func (c *CompiledNet) refold() *compiledState {
 	c.mu.Lock()
@@ -282,6 +285,7 @@ func (c *CompiledNet) refold() *compiledState {
 // addPlan builds the plan for key and publishes a state extended with
 // it. Concurrent builders for the same key produce identical plans; one
 // wins the publish, and losing duplicates are equivalent and harmless.
+//
 //hdc:coldpath one-time plan construction per batch geometry
 func (c *CompiledNet) addPlan(key planKey) (*plan, error) {
 	c.mu.Lock()
@@ -310,6 +314,7 @@ func (c *CompiledNet) addPlan(key planKey) (*plan, error) {
 
 // addQPlan builds the quantized plan for the calibration geometry and
 // publishes a state extended with it, mirroring addPlan.
+//
 //hdc:coldpath one-time quantized plan construction
 func (c *CompiledNet) addQPlan() (*qplan, error) {
 	c.mu.Lock()
@@ -366,6 +371,7 @@ func (p *plan) val(id int, slab, x []float32, n int) []float32 {
 }
 
 // run executes the plan over x [N, ...] with s's workspace.
+//
 //hdc:hotpath
 func (p *plan) run(x *tensor.Tensor, s *Scratch) *tensor.Tensor {
 	n := x.Dim(0)
@@ -438,6 +444,7 @@ func (o *opConv) im2col(dst, x []float32, n int) {
 // placement, so the quantized path's geometry is pinned by the f32
 // parity tests. Padded positions are written as the element type's zero
 // (the int8 plan's zero point: symmetric scales make q = 0 exact).
+//
 //hdc:hotpath
 func im2colCNHW[T float32 | int8](dst, x []T, n, inC, kH, kW, stride, pad, h, w, oh, ow int, inNCHW bool) {
 	rowStride := n * oh * ow
@@ -461,7 +468,7 @@ func im2colCNHW[T float32 | int8](dst, x []T, n, inC, kH, kW, stride, pad, h, w,
 					if pad > kx {
 						lo = (pad - kx + stride - 1) / stride
 					}
-					if t := (w - 1 - kx + pad) / stride + 1; t < hi {
+					if t := (w-1-kx+pad)/stride + 1; t < hi {
 						hi = t
 					}
 					if hi < lo {
@@ -590,7 +597,7 @@ func im2colCNHW[T float32 | int8](dst, x []T, n, inC, kH, kW, stride, pad, h, w,
 				if pad > ky {
 					oyLo = (pad - ky + stride - 1) / stride
 				}
-				if t := (h - 1 - ky + pad) / stride + 1; t < oyHi {
+				if t := (h-1-ky+pad)/stride + 1; t < oyHi {
 					oyHi = t
 				}
 				if oyHi < oyLo {
@@ -600,7 +607,7 @@ func im2colCNHW[T float32 | int8](dst, x []T, n, inC, kH, kW, stride, pad, h, w,
 				if pad > kx {
 					lo = (pad - kx + stride - 1) / stride
 				}
-				if t := (w - 1 - kx + pad) / stride + 1; t < hi {
+				if t := (w-1-kx+pad)/stride + 1; t < hi {
 					hi = t
 				}
 				if hi < lo {
@@ -655,10 +662,10 @@ func im2colCNHW[T float32 | int8](dst, x []T, n, inC, kH, kW, stride, pad, h, w,
 // opLinear is a fully connected layer over the version-cached packed
 // weight panel, bias and optional ReLU fused into the epilogue.
 type opLinear struct {
-	pb   *tensor.PackedB
-	w    *tensor.Tensor // raw weights [in, out]; the quantized lowering reads them
-	bias []float32
-	relu bool
+	pb          *tensor.PackedB
+	w           *tensor.Tensor // raw weights [in, out]; the quantized lowering reads them
+	bias        []float32
+	relu        bool
 	inID, outID int
 	in, out     int
 }
@@ -793,45 +800,6 @@ func (o *opToNCHW) run(p *plan, slab, x []float32, n int, s *Scratch) {
 	}
 }
 
-// opMaxPool pools spatial activations in either layout.
-type opMaxPool struct {
-	inID, outID     int
-	c, h, w, oh, ow int
-	kernel, stride  int
-	nchw            bool
-}
-
-func (o *opMaxPool) run(p *plan, slab, x []float32, n int, s *Scratch) {
-	in := p.val(o.inID, slab, x, n)
-	out := p.val(o.outID, slab, x, n)
-	sampStride, chanStride := o.h*o.w, n*o.h*o.w
-	oSamp, oChan := o.oh*o.ow, n*o.oh*o.ow
-	if o.nchw {
-		sampStride, chanStride = o.c*o.h*o.w, o.h*o.w
-		oSamp, oChan = o.c*o.oh*o.ow, o.oh*o.ow
-	}
-	for ch := 0; ch < o.c; ch++ {
-		for i := 0; i < n; i++ {
-			base := ch*chanStride + i*sampStride
-			obase := ch*oChan + i*oSamp
-			for oy := 0; oy < o.oh; oy++ {
-				for ox := 0; ox < o.ow; ox++ {
-					best := in[base+(oy*o.stride)*o.w+ox*o.stride]
-					for ky := 0; ky < o.kernel; ky++ {
-						row := base + (oy*o.stride+ky)*o.w + ox*o.stride
-						for kx := 0; kx < o.kernel; kx++ {
-							if v := in[row+kx]; v > best {
-								best = v
-							}
-						}
-					}
-					out[obase+oy*o.ow+ox] = best
-				}
-			}
-		}
-	}
-}
-
 // --- Lowering -------------------------------------------------------------
 
 // actShape tracks the current activation's per-sample geometry and
@@ -903,16 +871,12 @@ func (lo *lowerer) lower(l Layer) {
 		lo.lowerBN(t)
 	case *ReLU:
 		lo.lowerReLU()
-	case *Dropout:
-		// Identity at inference.
 	case *Linear:
 		lo.lowerLinear(t)
 	case *Flatten:
 		lo.lowerFlatten()
 	case *GlobalAvgPool:
 		lo.lowerAvgPool()
-	case *MaxPool2D:
-		lo.lowerMaxPool(t)
 	case Compilable:
 		for _, c := range t.CompileChain() {
 			lo.lower(c)
@@ -1084,28 +1048,6 @@ func (lo *lowerer) lowerAvgPool() {
 	lo.ops = append(lo.ops, op)
 	lo.cur = op.outID
 	lo.sh = actShape{flat: true, d: op.c}
-}
-
-func (lo *lowerer) lowerMaxPool(t *MaxPool2D) {
-	if lo.sh.flat {
-		lo.fail("MaxPool2D over flat input")
-		return
-	}
-	oh := (lo.sh.h-t.Kernel)/t.Stride + 1
-	ow := (lo.sh.w-t.Kernel)/t.Stride + 1
-	if oh <= 0 || ow <= 0 {
-		lo.fail("MaxPool2D input %dx%d too small for kernel %d stride %d", lo.sh.h, lo.sh.w, t.Kernel, t.Stride)
-		return
-	}
-	op := &opMaxPool{
-		inID: lo.use(lo.cur),
-		c:    lo.sh.c, h: lo.sh.h, w: lo.sh.w, oh: oh, ow: ow,
-		kernel: t.Kernel, stride: t.Stride, nchw: lo.sh.nchw,
-	}
-	op.outID = lo.def(lo.sh.c * oh * ow)
-	lo.ops = append(lo.ops, op)
-	lo.cur = op.outID
-	lo.sh = actShape{c: lo.sh.c, h: oh, w: ow, nchw: lo.sh.nchw}
 }
 
 // lowerResidual lowers relu(main(x) + shortcut(x)). The shortcut runs

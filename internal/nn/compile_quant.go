@@ -19,15 +19,14 @@ import (
 //   - calibration: the f32 plan runs once over the caller-supplied
 //     calibration batch, recording each intermediate value's max|·|;
 //     activation scales are symmetric per tensor, s = max|v|/127.
-//     ReLU and MaxPool preserve their input scale exactly (both are
-//     order-preserving on the quantized integers), so those steps are
-//     pure int8 ops with no requantization error.
+//     ReLU preserves its input scale exactly (it is order-preserving
+//     on the quantized integers), so that step is a pure int8 op with
+//     no requantization error.
 //   - weights: each conv's FOLDED weight matrix [outC, K] and each
 //     linear's transposed weight matrix [out, in] are quantized per
 //     output channel to the kernel's reduced range ±tensor.Gemm8WMax
-//     (quant.QuantizeRows — the same core as the standalone int8
-//     projection) and pre-packed once per fold generation (PackB8),
-//     ~4× smaller resident than the f32 panels.
+//     (quant.QuantizeRows) and pre-packed once per fold generation
+//     (PackB8), ~4× smaller resident than the f32 panels.
 //   - int8 end to end: activations stay int8 between plan steps —
 //     every GEMM dequantizes, applies bias/residual/ReLU and
 //     requantizes inside its epilogue write-back — and float32
@@ -74,15 +73,6 @@ func CompileQuantized(l Layer, calib *tensor.Tensor) (*CompiledNet, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// MustCompileQuantized is CompileQuantized, panicking on error.
-func MustCompileQuantized(l Layer, calib *tensor.Tensor) *CompiledNet {
-	c, err := CompileQuantized(l, calib)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // --- Quantized plan representation ----------------------------------------
@@ -356,47 +346,6 @@ func (o *opAvgPool8) run(p *qplan, slab []float32, slab8 []int8, x []float32, n 
 	}
 }
 
-// opMaxPool8 pools int8 activations: max is order-preserving under a
-// symmetric scale, so this is pure integer work and the output reuses
-// the input scale.
-type opMaxPool8 struct {
-	inID, outID     int
-	c, h, w, oh, ow int
-	kernel, stride  int
-	nchw            bool
-}
-
-func (o *opMaxPool8) run(p *qplan, slab []float32, slab8 []int8, x []float32, n int, s *Scratch) {
-	in := p.v8(o.inID, slab8, n)
-	out := p.v8(o.outID, slab8, n)
-	sampStride, chanStride := o.h*o.w, n*o.h*o.w
-	oSamp, oChan := o.oh*o.ow, n*o.oh*o.ow
-	if o.nchw {
-		sampStride, chanStride = o.c*o.h*o.w, o.h*o.w
-		oSamp, oChan = o.c*o.oh*o.ow, o.oh*o.ow
-	}
-	for ch := 0; ch < o.c; ch++ {
-		for i := 0; i < n; i++ {
-			base := ch*chanStride + i*sampStride
-			obase := ch*oChan + i*oSamp
-			for oy := 0; oy < o.oh; oy++ {
-				for ox := 0; ox < o.ow; ox++ {
-					best := in[base+(oy*o.stride)*o.w+ox*o.stride]
-					for ky := 0; ky < o.kernel; ky++ {
-						row := base + (oy*o.stride+ky)*o.w + ox*o.stride
-						for kx := 0; kx < o.kernel; kx++ {
-							if q := in[row+kx]; q > best {
-								best = q
-							}
-						}
-					}
-					out[obase+oy*o.ow+ox] = best
-				}
-			}
-		}
-	}
-}
-
 // opToCN8 flattens a CNHW int8 value into the transposed flat layout
 // [c·plane, N] — the quantized Flatten, pure data movement, scale
 // preserved.
@@ -543,8 +492,6 @@ func planOutID(op planOp) int {
 		return o.outID
 	case *opToNCHW:
 		return o.outID
-	case *opMaxPool:
-		return o.outID
 	}
 	return -1
 }
@@ -643,8 +590,6 @@ func buildQPlan(root Layer, key planKey, calib *tensor.Tensor) (*qplan, error) {
 	for _, op := range pl.ops {
 		switch o := op.(type) {
 		case *opReLU:
-			scale[o.outID] = scale[o.inID]
-		case *opMaxPool:
 			scale[o.outID] = scale[o.inID]
 		case *opToNCHW:
 			scale[o.outID] = scale[o.inID]
@@ -809,16 +754,6 @@ func buildQPlan(root Layer, key planKey, calib *tensor.Tensor) (*qplan, error) {
 			// transposed, so this lowers to the CNHW → [d, N] flatten.
 			q := &opToCN8{inID: b.use(in), c: o.c, plane: o.plane}
 			q.outID = b.redef(o.outID, true)
-			b.ops = append(b.ops, q)
-
-		case *opMaxPool:
-			in := mapID(o.inID)
-			q := &opMaxPool8{
-				inID: b.use(in),
-				c:    o.c, h: o.h, w: o.w, oh: o.oh, ow: o.ow,
-				kernel: o.kernel, stride: o.stride, nchw: o.nchw,
-			}
-			q.outID = b.redef(o.outID, b.vals[in].tr)
 			b.ops = append(b.ops, q)
 
 		default:

@@ -26,6 +26,16 @@ func relL2(got, want *tensor.Tensor) float64 {
 	return math.Sqrt(num / den)
 }
 
+// mustCompileQuantized is CompileQuantized, failing the test on error.
+func mustCompileQuantized(t testing.TB, l Layer, calib *tensor.Tensor) *CompiledNet {
+	t.Helper()
+	c, err := CompileQuantized(l, calib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestCompiledQuantizedTracksFloat pins the int8 lowering on every
 // block shape the compiler fuses: the quantized plan (calibrated on the
 // test input itself) stays within a small relative-L2 budget of the f32
@@ -36,7 +46,7 @@ func TestCompiledQuantizedTracksFloat(t *testing.T) {
 	for _, tc := range compileParityCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := MustCompile(tc.layer)
-			cq := MustCompileQuantized(tc.layer, tc.input)
+			cq := mustCompileQuantized(t, tc.layer, tc.input)
 			s := NewScratch()
 			want := ref.Infer(tc.input, s).Clone()
 			s.Reset()
@@ -67,7 +77,7 @@ func TestCompiledQuantizedTracksFloat(t *testing.T) {
 // worker budget produces identical bits.
 func TestCompiledQuantizedBitwiseAcrossWorkers(t *testing.T) {
 	for _, tc := range compileParityCases() {
-		cq := MustCompileQuantized(tc.layer, tc.input)
+		cq := mustCompileQuantized(t, tc.layer, tc.input)
 		s := NewScratch()
 		want := cq.Infer(tc.input, s).Clone()
 		for _, workers := range []int{2, 3, 8} {
@@ -87,7 +97,7 @@ func TestCompiledQuantizedFallbackGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	net := NewResNet(rng, MicroResNet50Config(4))
 	calib := tensor.Randn(rng, 1, 2, 3, 16, 16)
-	cq := MustCompileQuantized(net, calib)
+	cq := mustCompileQuantized(t, net, calib)
 	ref := MustCompile(net)
 
 	other := tensor.Randn(rng, 1, 2, 3, 12, 12) // different H, W
@@ -122,7 +132,7 @@ func TestCompiledQuantizedInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	net := NewResNet(rng, MicroResNet50Config(4))
 	x := tensor.Randn(rng, 1, 2, 3, 16, 16)
-	cq := MustCompileQuantized(net, x)
+	cq := mustCompileQuantized(t, net, x)
 	ref := MustCompile(net)
 	s := NewScratch()
 	before := cq.Infer(x, s).Clone()
@@ -153,7 +163,7 @@ func TestCompiledQuantizedSharedConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	net := NewResNet(rng, MicroResNet50Config(4))
 	x := tensor.Randn(rng, 1, 2, 3, 16, 16)
-	cq := MustCompileQuantized(net, x)
+	cq := mustCompileQuantized(t, net, x)
 	want := cq.Infer(x, NewScratch()).Clone()
 	const goroutines, rounds = 8, 3
 	var wg sync.WaitGroup
@@ -199,7 +209,7 @@ func TestCompiledQuantizedInferZeroAlloc(t *testing.T) {
 	} {
 		net := NewResNet(rng, cfg)
 		x := tensor.Randn(rng, 1, 2, 3, 16, 16)
-		cq := MustCompileQuantized(net, x)
+		cq := mustCompileQuantized(t, net, x)
 		sc := NewScratch()
 		for i := 0; i < 2; i++ { // warm the plan, size and coalesce the arenas
 			sc.Reset()

@@ -97,11 +97,6 @@ func compileParityCases() []compileCase {
 			NewReLU(),
 			NewConv2D(rng, "c0", 3, 4, 1, 1, 0, false),
 		), tensor.Randn(rng, 1, 2, 3, 6, 6)},
-		{"maxpool-conv", NewSequential(
-			NewConv2D(rng, "mc", 3, 6, 3, 1, 1, false),
-			NewMaxPool2D(2, 2),
-			NewReLU(),
-		), tensor.Randn(rng, 1, 2, 3, 8, 8)},
 		{"identity-shortcut", identityBlock, tensor.Randn(rng, 1, 3, 3, 8, 8)},
 		{"stride2-projection", strideBlock, tensor.Randn(rng, 1, 3, 3, 9, 9)},
 		{"basic-block", basicBlock, tensor.Randn(rng, 1, 2, 3, 8, 8)},
@@ -114,7 +109,6 @@ func compileParityCases() []compileCase {
 		{"resnet-deep", NewResNet(rng, MicroResNet101Config(4)), tensor.Randn(rng, 1, 2, 3, 16, 16)},
 		{"mlp", NewSequential(
 			NewLinear(rng, "l1", 20, 16, true), NewReLU(),
-			NewDropout(rng, 0.3),
 			NewLinear(rng, "l2", 16, 9, true),
 		), tensor.Randn(rng, 1, 4, 20)},
 	}

@@ -30,8 +30,8 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, kernel, stride, pad int, 
 	}
 	fanIn := inC * kernel * kernel
 	c := &Conv2D{
-		W:    NewParam(name+".W", tensor.HeInit(rng, fanIn, outC, fanIn)),
-		inC:  inC, outC: outC,
+		W:   NewParam(name+".W", tensor.HeInit(rng, fanIn, outC, fanIn)),
+		inC: inC, outC: outC,
 		kH: kernel, kW: kernel,
 		stride: stride, pad: pad,
 	}

@@ -67,8 +67,8 @@ func BCEWithLogits(logits, targets *tensor.Tensor, posWeight []float32) (float32
 				w = float64(posWeight[j])
 			}
 			// Stable log-sigmoid: log σ(x) = −log(1+e^{−x}) = min(x,0) − log1p(e^{−|x|}) ... use softplus.
-			sp := softplus(-x)  // −log σ(x)
-			spn := softplus(x)  // −log(1−σ(x))
+			sp := softplus(-x) // −log σ(x)
+			spn := softplus(x) // −log(1−σ(x))
 			loss += w*t*sp + (1-t)*spn
 			s := sigmoid(x)
 			// d/dx [w·t·softplus(−x) + (1−t)·softplus(x)]

@@ -213,13 +213,6 @@ func TestEvalForwardRetainsNoCaches(t *testing.T) {
 	if relu.mask != nil {
 		t.Error("ReLU retains mask after eval Forward")
 	}
-
-	mp := NewMaxPool2D(2, 2)
-	mp.Forward(x4, true)
-	mp.Forward(x4, false)
-	if mp.argmax != nil {
-		t.Error("MaxPool2D retains argmax after eval Forward")
-	}
 }
 
 // TestBatchNormEvalKeepsRunningStats guards the frozen-stats invariant
@@ -242,30 +235,6 @@ func TestBatchNormEvalKeepsRunningStats(t *testing.T) {
 	}
 }
 
-func TestMaxPoolForwardBackward(t *testing.T) {
-	m := NewMaxPool2D(2, 2)
-	x := tensor.FromSlice([]float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 1, 4, 4)
-	y := m.Forward(x, true)
-	want := []float32{6, 8, 14, 16}
-	for i := range want {
-		if y.Data[i] != want[i] {
-			t.Fatalf("maxpool forward %v, want %v", y.Data, want)
-		}
-	}
-	dx := m.Backward(tensor.FromSlice([]float32{1, 1, 1, 1}, 1, 1, 2, 2))
-	if dx.Data[5] != 1 || dx.Data[7] != 1 || dx.Data[13] != 1 || dx.Data[15] != 1 {
-		t.Fatalf("maxpool backward misrouted: %v", dx.Data)
-	}
-	if dx.Data[0] != 0 {
-		t.Fatal("maxpool backward leaked to non-max position")
-	}
-}
-
 func TestGlobalAvgPool(t *testing.T) {
 	g := NewGlobalAvgPool()
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
@@ -279,30 +248,6 @@ func TestGlobalAvgPool(t *testing.T) {
 	dx := g.Backward(tensor.FromSlice([]float32{4, 8}, 1, 2))
 	if dx.Data[0] != 1 || dx.Data[4] != 2 {
 		t.Fatalf("gap backward %v", dx.Data)
-	}
-}
-
-func TestDropoutTrainEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	d := NewDropout(rng, 0.5)
-	x := tensor.Ones(1, 1000)
-	yTrain := d.Forward(x, true)
-	var zeros int
-	for _, v := range yTrain.Data {
-		if v == 0 {
-			zeros++
-		} else if math.Abs(float64(v-2)) > 1e-6 {
-			t.Fatalf("survivor not rescaled: %v", v)
-		}
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("drop rate off: %d/1000 dropped", zeros)
-	}
-	yEval := d.Forward(x, false)
-	for _, v := range yEval.Data {
-		if v != 1 {
-			t.Fatal("eval mode must be identity")
-		}
 	}
 }
 

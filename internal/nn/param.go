@@ -62,7 +62,7 @@ func (p *Param) Count() int { return p.Value.Len() }
 // forward and backward passes.
 //
 // Forward consumes the input and returns the output; train selects
-// training behaviour (batch-norm batch statistics, dropout). Backward
+// training behaviour (batch-norm batch statistics). Backward
 // consumes ∂loss/∂output and returns ∂loss/∂input, accumulating parameter
 // gradients into Params() along the way. Backward must be called after
 // the Forward whose activations it differentiates.

@@ -32,8 +32,8 @@ type ResNetConfig struct {
 	// crown" from "blue wing"; flattening preserves it. FlattenH/W give
 	// the expected stage-4 spatial size (input H/8 × W/8 with the stem at
 	// stride 1 and three stride-2 stage transitions).
-	FlattenPool          bool
-	FlattenH, FlattenW   int
+	FlattenPool        bool
+	FlattenH, FlattenW int
 }
 
 // expansion returns the block output-channel multiplier.

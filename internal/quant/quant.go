@@ -1,18 +1,17 @@
-// Package quant provides the digital edge-inference path of the paper's
-// §V outlook: symmetric int8 post-training quantization of the trained
-// FC projection so that the full deployed model — int8 projection, 1-bit
-// attribute codebooks, XOR/popcount or integer similarity — fits the
-// memory and arithmetic budget of an always-on accelerator [38].
+// Package quant provides the weight quantization behind the digital
+// edge-inference path of the paper's §V outlook: symmetric int8
+// post-training quantization of the trained network so that the full
+// deployed model — int8 embedder, 1-bit attribute codebooks,
+// XOR/popcount or integer similarity — fits the memory and arithmetic
+// budget of an always-on accelerator [38].
 //
 // Quantization is symmetric PER CHANNEL: each output channel ch gets
 // its own scale s_ch = max|w_ch|/qmax and q = round(w/s_ch) clamped to
 // [−qmax, qmax], so one outlier channel no longer wastes the integer
-// range of every other. The quantized matmul accumulates in int32 and
-// dequantizes once per output, the standard integer-inference kernel.
+// range of every other.
 //
 // QuantizeChannels is the one quantization core in the repository: the
-// standalone quant.Linear uses it at qmax = 127, and the compiled int8
-// inference plans (nn.CompileQuantized) use it at qmax =
+// compiled int8 inference plans (nn.CompileQuantized) use it at qmax =
 // tensor.Gemm8WMax, the reduced range the AVX2 VPMADDUBSW kernel needs
 // for saturation-free exact accumulation.
 package quant
@@ -20,18 +19,15 @@ package quant
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/tensor"
 )
 
 // QuantizeChannels quantizes w per channel with symmetric scales:
 // channel ch occupies the elements w[ch·chStride + j·elemStride] for
 // j in [0, count), and gets scales[ch] = max_j|w|/qmax (1 if the
 // channel is all zero) with q = round(w/scale) clamped to [−qmax,
-// qmax]. q and scales are written at the same strides/indices. This is
-// the shared quantization core of the standalone int8 projection
-// (per-column channels, qmax 127) and the compiled int8 plans
-// (per-row channels, qmax tensor.Gemm8WMax).
+// qmax]. q and scales are written at the same strides/indices. The
+// compiled int8 plans call it through QuantizeRows (per-row channels,
+// qmax tensor.Gemm8WMax).
 func QuantizeChannels(q []int8, scales []float32, w []float32, channels, count, chStride, elemStride, qmax int) {
 	if qmax <= 0 || qmax > 127 {
 		panic(fmt.Sprintf("quant.QuantizeChannels: qmax %d outside (0, 127]", qmax))
@@ -71,98 +67,4 @@ func QuantizeChannels(q []int8, scales []float32, w []float32, channels, count, 
 // weight matrices [outC, K] and transposed projection weights through.
 func QuantizeRows(q []int8, scales []float32, w []float32, rows, cols, qmax int) {
 	QuantizeChannels(q, scales, w, rows, cols, cols, 1, qmax)
-}
-
-// Linear is an int8-quantized, inference-only fully connected layer.
-type Linear struct {
-	// W holds the quantized weights [in, out] as int8.
-	W []int8
-	// Bias is kept in float32 (its storage is negligible and integer bias
-	// requires the input scale, which varies per batch).
-	Bias []float32
-	// Scales holds one weight dequantization scale per output channel
-	// (column of W).
-	Scales  []float32
-	in, out int
-}
-
-// QuantizeLinear converts trained linear-layer weights w [in, out]
-// (plus an optional bias, copied) into the int8 twin with per-channel
-// symmetric scales.
-func QuantizeLinear(w *tensor.Tensor, bias []float32) *Linear {
-	if w.Rank() != 2 {
-		panic(fmt.Sprintf("quant.QuantizeLinear: want rank-2 weights, have %v", w.Shape()))
-	}
-	in, out := w.Dim(0), w.Dim(1)
-	q := &Linear{W: make([]int8, in*out), Scales: make([]float32, out), in: in, out: out}
-	// Output channel ch is column ch of the [in, out] matrix.
-	QuantizeChannels(q.W, q.Scales, w.Data, out, in, 1, out, 127)
-	if bias != nil {
-		q.Bias = append([]float32(nil), bias...)
-	}
-	return q
-}
-
-// Forward computes x·Wq (+ b) for x [N, in], quantizing the activations
-// per row to int8 and accumulating in int32.
-func (q *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != 2 || x.Dim(1) != q.in {
-		panic(fmt.Sprintf("quant.Linear: input %v incompatible with [%d,%d]", x.Shape(), q.in, q.out))
-	}
-	n := x.Dim(0)
-	out := tensor.New(n, q.out)
-	xq := make([]int8, q.in)
-	for r := 0; r < n; r++ {
-		row := x.Row(r)
-		// Per-row activation scale.
-		var maxAbs float32
-		for _, v := range row {
-			if a := float32(math.Abs(float64(v))); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		if maxAbs == 0 {
-			maxAbs = 1
-		}
-		xs := maxAbs / 127
-		for i, v := range row {
-			rq := math.Round(float64(v / xs))
-			if rq > 127 {
-				rq = 127
-			}
-			if rq < -127 {
-				rq = -127
-			}
-			xq[i] = int8(rq)
-		}
-		or := out.Row(r)
-		for c := 0; c < q.out; c++ {
-			var acc int32
-			for i := 0; i < q.in; i++ {
-				acc += int32(xq[i]) * int32(q.W[i*q.out+c])
-			}
-			or[c] = float32(acc) * (xs * q.Scales[c])
-			if q.Bias != nil {
-				or[c] += q.Bias[c]
-			}
-		}
-	}
-	return out
-}
-
-// Bytes returns the storage footprint of the quantized layer.
-func (q *Linear) Bytes() int { return len(q.W) + 4*len(q.Bias) + 4*len(q.Scales) }
-
-// MaxAbsError returns the maximum elementwise deviation between the
-// quantized layer's output on x and the float reference output ref,
-// for accuracy-budget validation.
-func (q *Linear) MaxAbsError(ref, x *tensor.Tensor) float32 {
-	a := q.Forward(x)
-	var worst float32
-	for i := range a.Data {
-		if d := float32(math.Abs(float64(a.Data[i] - ref.Data[i]))); d > worst {
-			worst = d
-		}
-	}
-	return worst
 }

@@ -10,22 +10,32 @@ import (
 	"repro/internal/tensor"
 )
 
-// quantize converts a trained nn.Linear through the package API.
-func quantize(l *nn.Linear) *quant.Linear {
-	var bias []float32
-	if l.B != nil {
-		bias = l.B.Value.Data
+// compileInt8 lowers l through the compiled int8 path, calibrated on
+// calib, and returns a function running the int8 plan.
+func compileInt8(t *testing.T, l nn.Layer, calib *tensor.Tensor) func(x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	cq, err := nn.CompileQuantized(l, calib)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return quant.QuantizeLinear(l.W.Value, bias)
+	return func(x *tensor.Tensor) *tensor.Tensor { return cq.Infer(x, nn.NewScratch()).Clone() }
+}
+
+// quantizeColumns quantizes a [in, out] weight matrix per output
+// channel (column), the layout nn.Linear stores.
+func quantizeColumns(w *tensor.Tensor, qmax int) ([]int8, []float32) {
+	in, out := w.Dim(0), w.Dim(1)
+	q, scales := make([]int8, in*out), make([]float32, out)
+	quant.QuantizeChannels(q, scales, w.Data, out, in, 1, out, qmax)
+	return q, scales
 }
 
 func TestQuantizedLinearTracksFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := nn.NewLinear(rng, "fc", 64, 32, true)
-	q := quantize(l)
 	x := tensor.Randn(rng, 1, 8, 64)
 	ref := l.Forward(x, false)
-	got := q.Forward(x)
+	got := compileInt8(t, l, x)(x)
 	// Relative error budget: int8 symmetric quantization of weights and
 	// activations bounds per-output error well under 2 % of the output
 	// range for Gaussian data.
@@ -41,10 +51,10 @@ func TestQuantizedLinearTracksFloat(t *testing.T) {
 func TestQuantizedStorageIsQuarter(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	l := nn.NewLinear(rng, "fc", 128, 96, false)
-	q := quantize(l)
+	q, scales := quantizeColumns(l.W.Value, 127)
 	floatBytes := 4 * 128 * 96
-	if q.Bytes() >= floatBytes/3 {
-		t.Fatalf("quantized layer %d B, float %d B — expected ≈4× smaller", q.Bytes(), floatBytes)
+	if b := len(q) + 4*len(scales); b >= floatBytes/3 {
+		t.Fatalf("quantized weights %d B, float %d B — expected ≈4× smaller", b, floatBytes)
 	}
 }
 
@@ -53,14 +63,14 @@ func TestQuantizedWeightsInRange(t *testing.T) {
 	l := nn.NewLinear(rng, "fc", 16, 16, false)
 	// Inject an outlier to exercise clamping.
 	l.W.Value.Data[0] = 100
-	q := quantize(l)
-	for _, w := range q.W {
+	q, _ := quantizeColumns(l.W.Value, 127)
+	for _, w := range q {
 		if w < -127 || w > 127 {
 			t.Fatalf("weight %d outside int8 symmetric range", w)
 		}
 	}
-	if q.W[0] != 127 {
-		t.Fatalf("outlier should quantize to 127, got %d", q.W[0])
+	if q[0] != 127 {
+		t.Fatalf("outlier should quantize to 127, got %d", q[0])
 	}
 }
 
@@ -75,17 +85,17 @@ func TestQuantizedScalesArePerChannel(t *testing.T) {
 		l.W.Value.Data[i*4+0] *= 100 // channel 0 dominates
 		l.W.Value.Data[i*4+1] *= 0.01
 	}
-	q := quantize(l)
-	if len(q.Scales) != 4 {
-		t.Fatalf("want 4 per-channel scales, have %d", len(q.Scales))
+	q, scales := quantizeColumns(l.W.Value, 127)
+	if len(scales) != 4 {
+		t.Fatalf("want 4 per-channel scales, have %d", len(scales))
 	}
-	if q.Scales[0] <= q.Scales[1]*1000 {
-		t.Fatalf("channel scales did not separate: %v vs %v", q.Scales[0], q.Scales[1])
+	if scales[0] <= scales[1]*1000 {
+		t.Fatalf("channel scales did not separate: %v vs %v", scales[0], scales[1])
 	}
 	// The small channel keeps near-full integer resolution.
 	var maxQ int8
 	for i := 0; i < 32; i++ {
-		if w := q.W[i*4+1]; w > maxQ {
+		if w := q[i*4+1]; w > maxQ {
 			maxQ = w
 		}
 	}
@@ -126,8 +136,7 @@ func TestQuantizeRowsReducedRange(t *testing.T) {
 func TestQuantizedZeroInputSafe(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	l := nn.NewLinear(rng, "fc", 8, 4, true)
-	q := quantize(l)
-	out := q.Forward(tensor.New(2, 8))
+	out := compileInt8(t, l, tensor.Randn(rng, 1, 2, 8))(tensor.New(2, 8))
 	if out.HasNaN() {
 		t.Fatal("zero input produced NaN")
 	}
@@ -143,13 +152,14 @@ func TestQuantizedZeroInputSafe(t *testing.T) {
 
 func TestQuantizedForwardPanicsOnBadInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	q := quantize(nn.NewLinear(rng, "fc", 8, 4, false))
+	l := nn.NewLinear(rng, "fc", 8, 4, false)
+	run := compileInt8(t, l, tensor.Randn(rng, 1, 2, 8))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad input accepted")
 		}
 	}()
-	q.Forward(tensor.New(2, 9))
+	run(tensor.New(2, 9))
 }
 
 // End-to-end: quantizing the ZSC projection preserves the argmax class
@@ -157,12 +167,11 @@ func TestQuantizedForwardPanicsOnBadInput(t *testing.T) {
 func TestQuantizedProjectionPreservesRanking(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	proj := nn.NewLinear(rng, "proj", 96, 48, true)
-	q := quantize(proj)
 	feats := tensor.Randn(rng, 1, 20, 96)
 	classes := tensor.Rademacher(rng, 10, 48)
 
 	embF := proj.Forward(feats, false)
-	embQ := q.Forward(feats)
+	embQ := compileInt8(t, proj, feats)(feats)
 	cn := tensor.NormalizeRows(classes)
 	simF := tensor.MatMulT(tensor.NormalizeRows(embF), cn)
 	simQ := tensor.MatMulT(tensor.NormalizeRows(embQ), cn)
@@ -175,7 +184,11 @@ func TestQuantizedProjectionPreservesRanking(t *testing.T) {
 	if agree < 19 {
 		t.Fatalf("quantization changed the predicted class for %d/20 queries", 20-agree)
 	}
-	if err := q.MaxAbsError(embF, feats); err > 0.5 {
-		t.Fatalf("max abs error %v too large", err)
+	var worst float64
+	for i := range embF.Data {
+		worst = math.Max(worst, math.Abs(float64(embQ.Data[i]-embF.Data[i])))
+	}
+	if worst > 0.5 {
+		t.Fatalf("max abs error %v too large", worst)
 	}
 }

@@ -143,6 +143,3 @@ func (a *Arena) Reset() {
 	a.hdrOff = 0
 	a.dimOff = 0
 }
-
-// Cap returns the arena's total capacity in float32 elements.
-func (a *Arena) Cap() int { return a.total }

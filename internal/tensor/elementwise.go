@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Add returns a+b elementwise.
 func Add(a, b *Tensor) *Tensor {
@@ -45,30 +42,6 @@ func ScaleInPlace(a *Tensor, s float32) *Tensor {
 	return a
 }
 
-// Apply returns f applied elementwise in a new tensor.
-func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := New(a.shape...)
-	for i := range a.Data {
-		out.Data[i] = f(a.Data[i])
-	}
-	return out
-}
-
-// Tanh returns tanh(x) elementwise.
-func Tanh(a *Tensor) *Tensor {
-	return Apply(a, func(x float32) float32 { return float32(math.Tanh(float64(x))) })
-}
-
-// ReLU returns max(0, x) elementwise.
-func ReLU(a *Tensor) *Tensor {
-	return Apply(a, func(x float32) float32 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
-}
-
 // AddRowVector adds a length-cols vector v to every row of the 2-D tensor a
 // (broadcast over rows), returning a new tensor. Used for bias addition.
 func AddRowVector(a *Tensor, v *Tensor) *Tensor {
@@ -82,24 +55,6 @@ func AddRowVector(a *Tensor, v *Tensor) *Tensor {
 		or := out.Data[r*cols : (r+1)*cols]
 		for c := 0; c < cols; c++ {
 			or[c] = ar[c] + v.Data[c]
-		}
-	}
-	return out
-}
-
-// MulRowVector multiplies every row of the 2-D tensor a by a length-cols
-// vector v (broadcast over rows), returning a new tensor.
-func MulRowVector(a *Tensor, v *Tensor) *Tensor {
-	if a.Rank() != 2 || v.Rank() != 1 || a.Dim(1) != v.Dim(0) {
-		panic(fmt.Sprintf("tensor.MulRowVector: shapes %v and %v incompatible", a.shape, v.shape))
-	}
-	out := New(a.shape...)
-	rows, cols := a.Dim(0), a.Dim(1)
-	for r := 0; r < rows; r++ {
-		ar := a.Data[r*cols : (r+1)*cols]
-		or := out.Data[r*cols : (r+1)*cols]
-		for c := 0; c < cols; c++ {
-			or[c] = ar[c] * v.Data[c]
 		}
 	}
 	return out

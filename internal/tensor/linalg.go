@@ -92,72 +92,3 @@ func SolveSPD(a, b *Tensor) (*Tensor, error) {
 	}
 	return CholeskySolve(l, b), nil
 }
-
-// SolveLinear solves the general square system a·x = b using Gaussian
-// elimination with partial pivoting, where b is [n, m]. It returns an
-// error for (numerically) singular systems.
-func SolveLinear(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || a.Dim(0) != a.Dim(1) {
-		panic(fmt.Sprintf("tensor.SolveLinear: want square matrix, have %v", a.shape))
-	}
-	n := a.Dim(0)
-	if b.Rank() != 2 || b.Dim(0) != n {
-		panic(fmt.Sprintf("tensor.SolveLinear: matrix %v incompatible with rhs %v", a.shape, b.shape))
-	}
-	m := b.Dim(1)
-	// Work in float64 for stability: the ESZSL normal equations can be
-	// poorly conditioned when the feature Gram matrix has small eigenvalues.
-	aw := make([]float64, n*n)
-	for i, v := range a.Data {
-		aw[i] = float64(v)
-	}
-	bw := make([]float64, n*m)
-	for i, v := range b.Data {
-		bw[i] = float64(v)
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv, pmax := col, math.Abs(aw[col*n+col])
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(aw[r*n+col]); v > pmax {
-				piv, pmax = r, v
-			}
-		}
-		if pmax < 1e-12 {
-			return nil, fmt.Errorf("tensor.SolveLinear: singular matrix at column %d", col)
-		}
-		if piv != col {
-			for c := 0; c < n; c++ {
-				aw[col*n+c], aw[piv*n+c] = aw[piv*n+c], aw[col*n+c]
-			}
-			for c := 0; c < m; c++ {
-				bw[col*m+c], bw[piv*m+c] = bw[piv*m+c], bw[col*m+c]
-			}
-		}
-		inv := 1 / aw[col*n+col]
-		for r := col + 1; r < n; r++ {
-			f := aw[r*n+col] * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				aw[r*n+c] -= f * aw[col*n+c]
-			}
-			for c := 0; c < m; c++ {
-				bw[r*m+c] -= f * bw[col*m+c]
-			}
-		}
-	}
-	// Back substitution.
-	x := New(n, m)
-	for r := n - 1; r >= 0; r-- {
-		for c := 0; c < m; c++ {
-			s := bw[r*m+c]
-			for k := r + 1; k < n; k++ {
-				s -= aw[r*n+k] * float64(x.Data[k*m+c])
-			}
-			x.Data[r*m+c] = float32(s / aw[r*n+r])
-		}
-	}
-	return x, nil
-}

@@ -18,35 +18,6 @@ func MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulInto computes a[m,k] × b[k,n] into dst[m,n] without allocating,
-// overwriting dst's contents. dst must not alias a or b. The result is
-// bitwise identical to MatMul (same packed kernel); this is the
-// non-allocating variant hot paths use with arena- or pool-backed
-// destinations.
-func MatMulInto(dst, a, b *Tensor) *Tensor {
-	m, k, n := checkMatMulShapes("MatMulInto", dst, a, b)
-	gemm(dst.Data, a.Data, b.Data, m, k, n, GemmOpts{})
-	return dst
-}
-
-// checkMatMulShapes validates dst[m,n] = a[m,k] × b[k,n] and returns the
-// dimensions; shared by the Into variants.
-func checkMatMulShapes(op string, dst, a, b *Tensor) (m, k, n int) {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic(fmt.Sprintf("tensor.%s: want rank-2 operands, have dst %v, %v × %v",
-			op, dst.shape, a.shape, b.shape))
-	}
-	m, k = a.Dim(0), a.Dim(1)
-	k2, n := b.Dim(0), b.Dim(1)
-	if k != k2 {
-		panic(fmt.Sprintf("tensor.%s: inner dimensions differ: %v × %v", op, a.shape, b.shape))
-	}
-	if dst.Dim(0) != m || dst.Dim(1) != n {
-		panic(fmt.Sprintf("tensor.%s: dst shape %v, want [%d %d]", op, dst.shape, m, n))
-	}
-	return m, k, n
-}
-
 // MatMulT computes a[m,k] × bᵀ where b is [n,k], i.e. the product against
 // the transpose without materializing it. This is the natural layout for
 // cosine-similarity kernels (rows of b are class/attribute embeddings) and
@@ -65,35 +36,7 @@ func MatMulT(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulTInto computes a[m,k] × bᵀ (b is [n,k]) into dst[m,n] without
-// allocating, overwriting dst's contents. dst must not alias a or b.
-// Bitwise identical to MatMulT.
-func MatMulTInto(dst, a, b *Tensor) *Tensor {
-	m, k, n := checkMatMulTShapes("MatMulTInto", dst, a, b)
-	matmulTRows(dst.Data, a.Data, b.Data, 0, m, k, n)
-	return dst
-}
-
-// checkMatMulTShapes validates dst[m,n] = a[m,k] × bᵀ (b is [n,k]) and
-// returns the dimensions; shared by the transpose Into variants.
-func checkMatMulTShapes(op string, dst, a, b *Tensor) (m, k, n int) {
-	if a.Rank() != 2 || b.Rank() != 2 || dst.Rank() != 2 {
-		panic(fmt.Sprintf("tensor.%s: want rank-2 operands, have dst %v, %v × %vᵀ",
-			op, dst.shape, a.shape, b.shape))
-	}
-	m, k = a.Dim(0), a.Dim(1)
-	n, k2 := b.Dim(0), b.Dim(1)
-	if k != k2 {
-		panic(fmt.Sprintf("tensor.%s: inner dimensions differ: %v × %vᵀ", op, a.shape, b.shape))
-	}
-	if dst.Dim(0) != m || dst.Dim(1) != n {
-		panic(fmt.Sprintf("tensor.%s: dst shape %v, want [%d %d]", op, dst.shape, m, n))
-	}
-	return m, k, n
-}
-
-// matmulTRows computes rows [lo, hi) of dst = a × bᵀ; the row-range form
-// both Into variants and the parallel driver share.
+// matmulTRows computes rows [lo, hi) of dst = a × bᵀ.
 func matmulTRows(dst, a, b []float32, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		ai := a[i*k : (i+1)*k]
@@ -152,34 +95,4 @@ func Transpose2D(a *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// MatVec computes the matrix-vector product a[m,k] × v[k] → [m].
-func MatVec(a, v *Tensor) *Tensor {
-	if a.Rank() != 2 || v.Rank() != 1 || a.Dim(1) != v.Dim(0) {
-		panic(fmt.Sprintf("tensor.MatVec: shapes %v and %v incompatible", a.shape, v.shape))
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	out := New(m)
-	for i := 0; i < m; i++ {
-		ai := a.Data[i*k : (i+1)*k]
-		var s float32
-		for p := range ai {
-			s += ai[p] * v.Data[p]
-		}
-		out.Data[i] = s
-	}
-	return out
-}
-
-// Dot returns the inner product of two equal-length rank-1 tensors.
-func Dot(a, b *Tensor) float32 {
-	if a.Rank() != 1 || b.Rank() != 1 || a.Dim(0) != b.Dim(0) {
-		panic(fmt.Sprintf("tensor.Dot: shapes %v and %v incompatible", a.shape, b.shape))
-	}
-	var s float32
-	for i := range a.Data {
-		s += a.Data[i] * b.Data[i]
-	}
-	return s
 }

@@ -8,7 +8,7 @@ import (
 // Packed, register-blocked GEMM.
 //
 // This is the repository's one float32 matrix-product kernel: MatMul,
-// MatMulInto, PMatMulInto and the nn hot paths (Linear, Conv2D) all land
+// GemmInto, GemmSlices and the nn hot paths (Linear, Conv2D) all land
 // here. The design follows the classic BLIS decomposition, scaled to the
 // matrix sizes a CPU-served ResNet embedding produces:
 //
@@ -71,6 +71,7 @@ type GemmBuf struct {
 
 // grow ensures capacity for an A pack of an floats and a B pack of bn
 // floats, returning the sized slices.
+//
 //hdc:coldpath amortized pack-buffer growth; the steady state reuses capacity
 func (g *GemmBuf) grow(an, bn int) (ap, bp []float32) {
 	if cap(g.a) < an {
@@ -83,6 +84,7 @@ func (g *GemmBuf) grow(an, bn int) (ap, bp []float32) {
 }
 
 // grow8 ensures capacity for n bytes of int8-GEMM activation panels.
+//
 //hdc:coldpath amortized pack-buffer growth; the steady state reuses capacity
 func (g *GemmBuf) grow8(n int) []uint8 {
 	if cap(g.b8) < n {

@@ -86,12 +86,6 @@ type PackedB8 struct {
 	rowOff []int32
 }
 
-// Dims returns the packed matrix's logical dimensions [m, k].
-func (pw *PackedB8) Dims() (m, k int) { return pw.m, pw.k }
-
-// Bytes returns the resident packed size in bytes.
-func (pw *PackedB8) Bytes() int { return len(pw.data) + 4*len(pw.rowOff) }
-
 // PackB8 packs the quantized weight matrix q [m, k] (row-major, values
 // in [−Gemm8WMax, Gemm8WMax]) into the int8 GEMM's panel layout.
 // Padding rows and padding k positions are zero, which contribute

@@ -246,8 +246,8 @@ func TestPackB8Footprint(t *testing.T) {
 	const m, k = 1536, 256
 	pw := PackB8(randW8(rng, m*k), m, k)
 	f32Bytes := 4 * m * k
-	if pw.Bytes() > f32Bytes/3 {
-		t.Fatalf("packed int8 weights are %d bytes, want ≤ a third of the %d-byte f32 panels", pw.Bytes(), f32Bytes)
+	if b := len(pw.data) + 4*len(pw.rowOff); b > f32Bytes/3 {
+		t.Fatalf("packed int8 weights are %d bytes, want ≤ a third of the %d-byte f32 panels", b, f32Bytes)
 	}
 }
 

@@ -2,14 +2,14 @@ package tensor
 
 import "sync"
 
-// Parallel matmul drivers. Work is partitioned over contiguous blocks of
-// the output (column panels for the packed GEMM, rows for the transpose
-// kernel), one goroutine per block: every output element is produced by
-// exactly one worker with the kernel's fixed per-element accumulation
-// order, so results are bitwise identical to the single-threaded Into
-// variants for ANY worker count. That invariant is what lets the
-// shared-read inference path parallelize without perturbing seeded
-// evaluation numbers.
+// Parallel work splitting. Work is partitioned over contiguous blocks of
+// the output (column panels for the packed GEMM, rows for callers of
+// ParallelRows), one goroutine per block: every output element is
+// produced by exactly one worker with the kernel's fixed per-element
+// accumulation order, so results are bitwise identical to a serial run
+// for ANY worker count. That invariant is what lets the shared-read
+// inference path parallelize without perturbing seeded evaluation
+// numbers.
 
 // ParallelRows partitions [0, rows) into at most workers near-equal
 // contiguous blocks and runs fn(lo, hi) for each block on its own
@@ -42,25 +42,4 @@ func ParallelRows(rows, workers int, fn func(lo, hi int)) {
 		lo = hi
 	}
 	wg.Wait()
-}
-
-// PMatMulInto computes a[m,k] × b[k,n] into dst[m,n] like MatMulInto,
-// fanning contiguous column-panel blocks of the output across at most
-// workers goroutines (the packed GEMM's parallel axis). Bitwise
-// identical to MatMulInto for any worker count.
-func PMatMulInto(dst, a, b *Tensor, workers int) *Tensor {
-	m, k, n := checkMatMulShapes("PMatMulInto", dst, a, b)
-	gemm(dst.Data, a.Data, b.Data, m, k, n, GemmOpts{Workers: workers})
-	return dst
-}
-
-// PMatMulTInto computes a[m,k] × bᵀ (b is [n,k]) into dst[m,n] like
-// MatMulTInto, fanning row blocks across at most workers goroutines.
-// Bitwise identical to MatMulTInto for any worker count.
-func PMatMulTInto(dst, a, b *Tensor, workers int) *Tensor {
-	m, k, n := checkMatMulTShapes("PMatMulTInto", dst, a, b)
-	ParallelRows(m, workers, func(lo, hi int) {
-		matmulTRows(dst.Data, a.Data, b.Data, lo, hi, k, n)
-	})
-	return dst
 }

@@ -20,50 +20,63 @@ func bitsEqual(a, b *Tensor) bool {
 	return true
 }
 
+// TestMatMulIntoMatchesMatMul pins the allocation-free entry point:
+// GemmInto overwrites a stale dst with MatMul's exact bits.
 func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := Randn(rng, 1, 37, 53)
 	b := Randn(rng, 1, 53, 29)
 	want := MatMul(a, b)
 	dst := Full(99, 37, 29) // stale contents must be overwritten
-	MatMulInto(dst, a, b)
+	GemmInto(dst, a, b, GemmOpts{})
 	if !bitsEqual(dst, want) {
-		t.Fatal("MatMulInto differs from MatMul")
+		t.Fatal("GemmInto differs from MatMul")
 	}
 }
 
+// TestMatMulTIntoMatchesMatMulT pins the pre-transposed pack: GemmInto
+// over PackBT(b) is bitwise MatMul against the materialized transpose,
+// and matches MatMulT's row-dot kernel to float tolerance.
 func TestMatMulTIntoMatchesMatMulT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := Randn(rng, 1, 17, 64)
 	b := Randn(rng, 1, 23, 64)
-	want := MatMulT(a, b)
 	dst := Full(-3, 17, 23)
-	MatMulTInto(dst, a, b)
-	if !bitsEqual(dst, want) {
-		t.Fatal("MatMulTInto differs from MatMulT")
+	GemmInto(dst, a, nil, GemmOpts{PB: PackBT(b)})
+	if !bitsEqual(dst, MatMul(a, Transpose2D(b))) {
+		t.Fatal("GemmInto over PackBT differs from MatMul against the transpose")
+	}
+	want := MatMulT(a, b)
+	for i := range want.Data {
+		if !almostEq(dst.Data[i], want.Data[i], 1e-4) {
+			t.Fatalf("GemmInto over PackBT [%d] = %v, MatMulT %v", i, dst.Data[i], want.Data[i])
+		}
 	}
 }
 
 // TestParallelMatMulBitwiseAcrossWorkers pins the invariant the
-// shared-read inference path depends on: the row-tiled parallel drivers
-// produce bit-identical results for every worker count, because each
-// output row is computed by exactly one worker in serial kernel order.
+// shared-read inference path depends on: work split by ParallelRows (or
+// across GEMM column panels) is bit-identical for every worker count,
+// because each output element is computed by exactly one worker in
+// serial kernel order.
 func TestParallelMatMulBitwiseAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := Randn(rng, 1, 70, 130) // sizes straddle blockSize boundaries
 	b := Randn(rng, 1, 130, 66)
 	bt := Transpose2D(b)
-	want := MatMul(a, b)
+	want, wantT := MatMul(a, b), MatMulT(a, bt)
 	for _, workers := range []int{0, 1, 2, 3, 7, 70, 1000} {
 		dst := New(70, 66)
-		PMatMulInto(dst, a, b, workers)
+		GemmInto(dst, a, b, GemmOpts{Workers: workers})
 		if !bitsEqual(dst, want) {
-			t.Fatalf("PMatMulInto(workers=%d) differs from serial MatMul", workers)
+			t.Fatalf("GemmInto(workers=%d) differs from serial MatMul", workers)
 		}
 		dstT := New(70, 66)
-		PMatMulTInto(dstT, a, bt, workers)
-		if !bitsEqual(dstT, MatMulT(a, bt)) {
-			t.Fatalf("PMatMulTInto(workers=%d) differs from serial MatMulT", workers)
+		ParallelRows(70, workers, func(lo, hi int) {
+			matmulTRows(dstT.Data, a.Data, bt.Data, lo, hi, 130, 66)
+		})
+		if !bitsEqual(dstT, wantT) {
+			t.Fatalf("ParallelRows(workers=%d) differs from serial MatMulT", workers)
 		}
 	}
 }
@@ -114,11 +127,11 @@ func TestArenaCoalescesAfterOverflow(t *testing.T) {
 	if len(a.slabs) != 3 {
 		t.Fatalf("want 3 slabs before Reset, have %d", len(a.slabs))
 	}
-	total := a.Cap()
+	total := a.total
 	a.Reset()
-	if len(a.slabs) != 1 || a.Cap() != total {
+	if len(a.slabs) != 1 || a.total != total {
 		t.Fatalf("Reset should coalesce to one slab of capacity %d, have %d slabs cap %d",
-			total, len(a.slabs), a.Cap())
+			total, len(a.slabs), a.total)
 	}
 	// The coalesced slab now serves the same workload allocation-free.
 	for i := 0; i < 3; i++ {

@@ -6,24 +6,6 @@ import (
 	"sort"
 )
 
-// SumRows sums a 2-D tensor along axis 1, returning a rank-1 tensor of
-// length rows.
-func SumRows(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor.SumRows: want rank 2, have %v", a.shape))
-	}
-	rows, cols := a.Dim(0), a.Dim(1)
-	out := New(rows)
-	for r := 0; r < rows; r++ {
-		var s float64
-		for _, v := range a.Data[r*cols : (r+1)*cols] {
-			s += float64(v)
-		}
-		out.Data[r] = float32(s)
-	}
-	return out
-}
-
 // SumCols sums a 2-D tensor along axis 0, returning a rank-1 tensor of
 // length cols. This is the bias-gradient reduction in Linear backward.
 func SumCols(a *Tensor) *Tensor {

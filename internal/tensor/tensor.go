@@ -157,14 +157,6 @@ func (t *Tensor) Fill(v float32) {
 // Zero sets every element to 0.
 func (t *Tensor) Zero() { t.Fill(0) }
 
-// CopyFrom copies o's data into t. Shapes must match.
-func (t *Tensor) CopyFrom(o *Tensor) {
-	if !t.SameShape(o) {
-		panic(fmt.Sprintf("tensor.CopyFrom: shape mismatch %v vs %v", t.shape, o.shape))
-	}
-	copy(t.Data, o.Data)
-}
-
 // String renders small tensors fully and large tensors as a summary; it is
 // meant for debugging and test failure messages, not serialization.
 func (t *Tensor) String() string {

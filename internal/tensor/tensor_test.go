@@ -189,22 +189,25 @@ func TestTranspose2D(t *testing.T) {
 	}
 }
 
+// TestMatVecAndDot pins the vector-shaped products: a matrix-vector
+// product is MatMul against a [k, 1] column, a dot product is MatMulT of
+// two [1, k] rows.
 func TestMatVecAndDot(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
-	v := FromSlice([]float32{1, -1}, 2)
-	got := MatVec(a, v)
+	got := MatMul(a, FromSlice([]float32{1, -1}, 2, 1))
 	if got.Data[0] != -1 || got.Data[1] != -1 {
-		t.Fatalf("MatVec wrong: %v", got.Data)
+		t.Fatalf("mat-vec wrong: %v", got.Data)
 	}
-	if Dot(v, v) != 2 {
-		t.Fatalf("Dot wrong: %v", Dot(v, v))
+	v := FromSlice([]float32{1, -1}, 1, 2)
+	if d := MatMulT(v, v).Data[0]; d != 2 {
+		t.Fatalf("dot wrong: %v", d)
 	}
 }
 
 func TestSumRowsColsMeans(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	if sr := SumRows(a); sr.Data[0] != 6 || sr.Data[1] != 15 {
-		t.Fatalf("SumRows wrong: %v", sr.Data)
+	if s, m := a.Sum(), a.Mean(); s != 21 || m != 3.5 {
+		t.Fatalf("Sum/Mean wrong: %v %v", s, m)
 	}
 	if sc := SumCols(a); sc.Data[0] != 5 || sc.Data[2] != 9 {
 		t.Fatalf("SumCols wrong: %v", sc.Data)
@@ -316,19 +319,22 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
+// TestSolveLinearRoundTrip solves a·x = b for several right-hand sides
+// through SolveSPD, the solver ESZSL's closed form uses.
 func TestSolveLinearRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	a := Randn(rng, 1, 5, 5)
+	m := Randn(rng, 1, 5, 5)
+	a := MatMulT(m, m)
 	AddDiagonal(a, 3) // keep it well-conditioned
 	x := Randn(rng, 1, 5, 3)
 	b := MatMul(a, x)
-	got, err := SolveLinear(a, b)
+	got, err := SolveSPD(a, b)
 	if err != nil {
-		t.Fatalf("SolveLinear: %v", err)
+		t.Fatalf("SolveSPD: %v", err)
 	}
 	for i := range x.Data {
 		if !almostEq(got.Data[i], x.Data[i], 1e-2) {
-			t.Fatalf("SolveLinear[%d] = %v, want %v", i, got.Data[i], x.Data[i])
+			t.Fatalf("SolveSPD[%d] = %v, want %v", i, got.Data[i], x.Data[i])
 		}
 	}
 }
@@ -336,8 +342,8 @@ func TestSolveLinearRoundTrip(t *testing.T) {
 func TestSolveLinearSingular(t *testing.T) {
 	a := New(3, 3) // all-zero matrix is singular
 	b := Ones(3, 1)
-	if _, err := SolveLinear(a, b); err == nil {
-		t.Fatal("SolveLinear accepted a singular matrix")
+	if _, err := SolveSPD(a, b); err == nil {
+		t.Fatal("SolveSPD accepted a singular matrix")
 	}
 }
 
