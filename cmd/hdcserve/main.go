@@ -10,8 +10,9 @@
 // (internal/classmem), realized as float embeddings (reference cosine
 // path), a packed binary item memory (XOR+popcount edge path), and an
 // analog crossbar with typical PCM non-idealities (§V outlook). Each
-// backend gets its own shared concurrency-safe engine and coalescer,
-// registered under its backend name ("float", "binary", "imc").
+// backend gets its own live view of the class memory (classmem.Live)
+// behind its own coalescer, registered under its backend name ("float",
+// "binary", "imc").
 //
 // With -router shards.json the process serves a DISTRIBUTED class
 // memory instead: no local engines — the registered model is a
@@ -38,9 +39,11 @@
 // Live enrollment: POST /v1/enroll appends a class to the serving
 // memory without a restart. Locally the class memory is an
 // RCU-versioned store (internal/classmem.Versioned): the enrollment
-// appends past the published prefix, and rebuilt engines are swapped
-// behind the running coalescers so in-flight rankings finish on their
-// epoch while later probes see the new class. With -wal DIR every
+// appends past the published prefix and publishes the next epoch, and
+// nothing else. Each live view reads the published epoch once per batch
+// and builds that epoch's engine on the first batch there, so in-flight
+// rankings finish on their epoch while later probes see the new class,
+// and only a backend that is queried builds an engine. With -wal DIR every
 // enrollment is WAL-durable (fsync before publish) and replayed on
 // restart; -snapshot-every bounds replay length by compacting the log
 // into a snapshot. In -router mode the enrollment is forwarded to the
@@ -59,12 +62,12 @@
 // -watermark 0 restores blocking backpressure. benchmark/run.sh drives
 // it with open-loop traffic.
 //
-// Hot reload: SIGHUP or POST /v1/reload rebuilds the class-memory
-// engines and embedders from the startup seed and atomically swaps them
-// behind the running coalescers — in-flight requests finish on the old
-// state, later requests see the new, and no request fails. In -router
-// mode only the embedders reload (the shard processes own the class
-// memory).
+// Hot reload: SIGHUP or POST /v1/reload rebuilds the embedders from the
+// startup seed and atomically swaps them into the registry — in-flight
+// requests finish on the old plans, later requests see the new, and no
+// request fails. The class memory is not reloaded: its views already
+// serve the published epoch, and in -router mode the shard processes
+// own it.
 //
 // Shutdown: SIGINT or SIGTERM flips /readyz to 503, stops accepting new
 // HTTP requests, drains in-flight requests and pending coalescer
@@ -139,11 +142,7 @@ func main() {
 	)
 	flag.Parse()
 
-	wm := *watermark
-	if wm < 0 {
-		wm = 4 * *maxBatch
-	}
-	cfg := serve.Config{MaxBatch: *maxBatch, Watermark: wm, MaxInFlight: *maxInFlight}
+	cfg := serve.Config{MaxBatch: *maxBatch, Watermark: *watermark, MaxInFlight: *maxInFlight}
 	var (
 		reg    *serve.Registry
 		router *dist.Router
@@ -173,49 +172,53 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *embedder {
-		if err := registerEmbedder(reg, *dim, *seed, *embedImg, *embedWidth, *precision); err != nil {
-			reg.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+	// installEmbedders compiles the embedder plans and hands each to put:
+	// RegisterEmbedder at startup, ReplaceEmbedder on hot reload. Every
+	// plan compiles before any is installed, so a failed reload leaves
+	// the old plans serving.
+	installEmbedders := func(put func(string, serve.Embedder) error) error {
+		if !*embedder {
+			return nil
 		}
+		embs, err := buildEmbedders(*dim, *seed, *embedImg, *embedWidth, *precision)
+		if err != nil {
+			return err
+		}
+		for name, e := range embs {
+			if err := put(name, e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := installEmbedders(reg.RegisterEmbedder); err != nil {
+		reg.Close()
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if router != nil {
 		log.Printf("hdcserve: routing %d classes at d=%d over %d shard ranges, models %v, embedders %v",
 			router.Classes(), router.Dim(), router.Shards(), reg.Names(), reg.EmbedderNames())
 	} else {
+		co, _ := reg.Get(reg.Names()[0])
 		log.Printf("hdcserve: %d classes at d=%d (epoch %d, %d enrolled), models %v, embedders %v, coalescer max-batch=%d watermark=%d",
-			*classes, *dim, store.Epoch(), store.EnrolledTotal(), reg.Names(), reg.EmbedderNames(), *maxBatch, wm)
+			*classes, *dim, store.Epoch(), store.EnrolledTotal(), reg.Names(), reg.EmbedderNames(), co.Config().MaxBatch, co.Config().Watermark)
 	}
 
-	// Hot reload: rebuild the class-memory engines and embedders from the
-	// startup parameters and swap them atomically behind the running
-	// coalescers/registry. In-flight requests finish on the old state;
-	// nothing closes, so no request fails across the swap. Serialized —
-	// concurrent SIGHUP and POST /v1/reload do not interleave swaps.
+	// Hot reload: rebuild the embedders from the startup parameters and
+	// swap them atomically into the registry. In-flight requests finish
+	// on the old plans; nothing closes, so no request fails across the
+	// swap. The class memory needs no reload: its live views already
+	// serve the published epoch. Serialized — concurrent SIGHUP and POST
+	// /v1/reload do not interleave swaps.
 	var reloadMu sync.Mutex
 	var reloads atomic.Int64
 	reload := func() error {
 		reloadMu.Lock()
 		defer reloadMu.Unlock()
 		start := time.Now()
-		if router == nil {
-			// Rebuild from the versioned store, not the startup seed alone:
-			// live-enrolled classes survive a reload.
-			if err := swapStoreQueriers(reg, store, *workers); err != nil {
-				return err
-			}
-		}
-		if *embedder {
-			embs, err := buildEmbedders(*dim, *seed, *embedImg, *embedWidth, *precision)
-			if err != nil {
-				return err
-			}
-			for name, e := range embs {
-				if err := reg.ReplaceEmbedder(name, e); err != nil {
-					return err
-				}
-			}
+		if err := installEmbedders(reg.ReplaceEmbedder); err != nil {
+			return err
 		}
 		n := reloads.Add(1)
 		log.Printf("hdcserve: reload #%d complete in %v (models %v, embedders %v)",
@@ -225,9 +228,8 @@ func main() {
 
 	// Live enrollment: convert the request into a packed prototype, then
 	// either drive the router's two-phase epoch flip (distributed) or
-	// enroll into the local versioned store and swap the grown engines
-	// behind the coalescers. The local path shares the reload mutex —
-	// both flow through the SwapQuerier seam and must not interleave.
+	// enroll into the local versioned store, whose live views serve the
+	// new epoch from the next query on.
 	enroll := func(_ context.Context, req serve.EnrollRequest) (uint64, error) {
 		proto, err := enrollProto(req, *dim)
 		if err != nil {
@@ -236,16 +238,7 @@ func main() {
 		if router != nil {
 			return router.Enroll(req.Label, proto)
 		}
-		reloadMu.Lock()
-		defer reloadMu.Unlock()
-		epoch, err := store.Enroll(req.Label, proto)
-		if err != nil {
-			return 0, err
-		}
-		if err := swapStoreQueriers(reg, store, *workers); err != nil {
-			return 0, err
-		}
-		return epoch, nil
+		return store.Enroll(req.Label, proto)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -312,9 +305,10 @@ func main() {
 	<-done
 }
 
-// buildRegistry registers the requested backends over the versioned
-// class memory, each behind its own coalescer. The store starts at the
-// seed-derived base memory plus whatever its WAL replayed.
+// buildRegistry registers one live view of the versioned class memory
+// per requested backend, each behind its own coalescer. The store starts
+// at the seed-derived base memory plus whatever its WAL replayed; each
+// view builds the engine for a new epoch on its first query there.
 func buildRegistry(store *classmem.Versioned, workers int, backendList string, cfg serve.Config) (*serve.Registry, error) {
 	reg := serve.NewRegistry()
 	for _, name := range strings.Split(backendList, ",") {
@@ -322,12 +316,20 @@ func buildRegistry(store *classmem.Versioned, workers int, backendList string, c
 		if name == "" {
 			continue
 		}
-		q, err := newStoreQuerier(store, name, workers)
+		var opts []infer.Option
+		if workers > 0 {
+			opts = append(opts, infer.WithWorkers(workers))
+		} else if name == "imc" {
+			// Pin the tile layout so analog noise draws don't depend on
+			// the host's core count (same rationale as cmd/hdczsc).
+			opts = append(opts, infer.WithWorkers(4))
+		}
+		live, err := store.Live(name, 0, opts...)
 		if err != nil {
 			reg.Close()
 			return nil, err
 		}
-		if err := reg.Register(q.Name(), serve.NewCoalescer(q, cfg)); err != nil {
+		if err := reg.Register(live.Name(), serve.NewCoalescer(live, cfg)); err != nil {
 			reg.Close()
 			return nil, err
 		}
@@ -336,67 +338,6 @@ func buildRegistry(store *classmem.Versioned, workers int, backendList string, c
 		return nil, fmt.Errorf("no backends registered (-backends %q)", backendList)
 	}
 	return reg, nil
-}
-
-// liveQuerier decorates one epoch's engine with the versioned store's
-// durability counters, so /stats reports epoch, enrolled_total, and
-// wal_bytes per model. The engine carries the epoch pin: its Epoch()
-// is the build-time stamp, so a ranking's tag always describes the
-// class memory that actually produced it, not whatever the store has
-// advanced to since.
-type liveQuerier struct {
-	*infer.Engine
-	store *classmem.Versioned
-}
-
-func (q *liveQuerier) EnrolledTotal() uint64 { return q.store.EnrolledTotal() }
-func (q *liveQuerier) WALBytes() int64       { return q.store.WALBytes() }
-
-// newStoreQuerier realizes one backend over the store's published
-// epoch — the unit of work enrollment and hot reload repeat per
-// registered model. Callers swapping live queriers serialize on the
-// enroll/reload mutex, so the epoch stamp and the realized class count
-// cannot diverge.
-func newStoreQuerier(store *classmem.Versioned, name string, workers int) (*liveQuerier, error) {
-	be, err := store.Backend(name)
-	if err != nil {
-		return nil, err
-	}
-	opts := []infer.Option{infer.WithEpoch(store.Epoch())}
-	if workers > 0 {
-		opts = append(opts, infer.WithWorkers(workers))
-	} else if name == "imc" {
-		// Pin the tile layout so analog noise draws don't depend on
-		// the host's core count (same rationale as cmd/hdczsc).
-		opts = append(opts, infer.WithWorkers(4))
-	}
-	eng, err := infer.NewChecked(be, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &liveQuerier{Engine: eng, store: store}, nil
-}
-
-// swapStoreQueriers rebuilds every registered model from the store's
-// published epoch and swaps it behind its coalescer — the epoch
-// publish flowing through the hot-reload seam. In-flight batches
-// finish on their old engine; the float backend's ϕᵀ tile cache
-// carries over, so the swap re-packs only the grown tail.
-func swapStoreQueriers(reg *serve.Registry, store *classmem.Versioned, workers int) error {
-	for _, name := range reg.Names() {
-		co, err := reg.Get(name)
-		if err != nil {
-			return err
-		}
-		q, err := newStoreQuerier(store, name, workers)
-		if err != nil {
-			return err
-		}
-		if err := co.SwapQuerier(q); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // enrollProto converts one enroll request into the packed class
@@ -467,37 +408,20 @@ func buildRouterRegistry(path string, shardTimeout time.Duration, cfg serve.Conf
 	return reg, router, nil
 }
 
-// registerEmbedder freezes a seed-deterministic ResNet image encoder
-// (micro ResNet50 topology, FC projection to the class-memory d),
-// compiles it into a frozen-graph inference plan (BatchNorms folded
-// into conv weights, bias/ReLU/residual adds fused into the GEMM
-// write-back, activation buffers pre-scheduled — see nn.CompiledNet)
-// and registers the plan as the "resnet" embedder. The network is
-// never trained and nothing ever calls its mutating Forward, so the
-// one compiled plan is shared read-only by every in-flight
+// buildEmbedders freezes a seed-deterministic ResNet image encoder
+// (micro ResNet50 topology, FC projection to the class-memory d) and
+// compiles it into frozen-graph inference plans (BatchNorms folded into
+// conv weights, bias/ReLU/residual adds fused into the GEMM write-back,
+// activation buffers pre-scheduled — see nn.CompiledNet). The network
+// is never trained and nothing ever calls its mutating Forward, so one
+// compiled plan is shared read-only by every in-flight
 // /v1/embed-classify request.
 //
-// precision selects which plans serve: "f32" registers "resnet" only,
-// "int8" registers "resnet-int8" only (the quantized plan of
+// precision selects which plans serve: "f32" builds "resnet" only,
+// "int8" builds "resnet-int8" only (the quantized plan of
 // nn.CompileQuantized, calibrated on a seed-deterministic synthetic
 // image batch at the serving geometry), and "both" serves the two side
 // by side from one registry so clients pick per request.
-func registerEmbedder(reg *serve.Registry, dim int, seed int64, img, width int, precision string) error {
-	embs, err := buildEmbedders(dim, seed, img, width, precision)
-	if err != nil {
-		return err
-	}
-	for name, e := range embs {
-		if err := reg.RegisterEmbedder(name, e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// buildEmbedders compiles the embedder plans for the requested
-// precisions — shared by startup registration and hot reload (where the
-// freshly compiled plans replace the registered ones atomically).
 func buildEmbedders(dim int, seed int64, img, width int, precision string) (map[string]serve.Embedder, error) {
 	if img < 8 || width < 1 {
 		return nil, fmt.Errorf("bad embedder geometry: -embed-img %d -embed-width %d", img, width)

@@ -186,14 +186,20 @@ func resolveRanges(rangeList, layoutPath, self, addr string, classes, dim int) (
 // buildServer freezes the seed-derived class memory and wraps one
 // engine per assigned range, each over a range view of the shared
 // global backend. The tail range (the one ending at the global class
-// count) is served from an RCU-versioned store instead of a frozen
-// engine, which makes it enrollable through the router's two-phase
-// epoch flip; with -wal the enrollments are crash-durable and replayed
-// here on restart. At epoch 0 the growing range serves bytes identical
-// to a frozen slab, so deployments that never enroll are unchanged.
+// count) is served by a live view (classmem.Live) of an RCU-versioned
+// store instead of a frozen engine: it builds the engine for each epoch
+// a query names, and the range is enrollable through the router's
+// two-phase epoch flip; with -wal the enrollments are crash-durable and
+// replayed here on restart. At epoch 0 the growing range serves bytes
+// identical to a frozen slab, so deployments that never enroll are
+// unchanged.
 func buildServer(backend string, classes, dim int, seed int64, workers int, ranges [][2]int, walDir string, snapEvery int) (*dist.ShardServer, *classmem.Versioned, error) {
+	var opts []infer.Option
+	if workers > 0 {
+		opts = append(opts, infer.WithWorkers(workers))
+	}
 	var store *classmem.Versioned
-	var growing *dist.GrowingSlab
+	var growing *classmem.Live
 	var frozen [][2]int
 	for _, r := range ranges {
 		if r[1] != classes {
@@ -206,47 +212,36 @@ func buildServer(backend string, classes, dim int, seed int64, workers int, rang
 		} else {
 			store = classmem.NewVersioned(classes, dim, seed)
 		}
+		if err == nil {
+			growing, err = store.Live(backend, r[0], opts...)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
-		growing = &dist.GrowingSlab{Base: r[0], Width: r[1] - r[0], Backend: backend, Workers: workers, Store: store}
 	}
-	var opts []infer.Option
-	if workers > 0 {
-		opts = append(opts, infer.WithWorkers(workers))
+	if store == nil && walDir != "" {
+		return nil, nil, fmt.Errorf("hdcshard: -wal set but no assigned range ends at class %d (only the tail range grows)", classes)
 	}
-	slabs := make([]dist.Slab, 0, len(frozen))
-	if len(frozen) > 0 {
-		// The store already holds the frozen memory: rows below its base
-		// are immutable at every epoch, so build the memory only once.
-		var mem *classmem.Memory
-		if store != nil {
-			mem = store.Snapshot().Mem
-		} else {
-			mem = classmem.Build(classes, dim, seed)
-		}
-		global, err := mem.Backend(backend)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, r := range frozen {
-			eng, err := infer.NewChecked(infer.NewRangeBackend(global, r[0], r[1]), opts...)
-			if err != nil {
-				return nil, nil, err
-			}
-			slabs = append(slabs, dist.Slab{Base: r[0], Engine: eng})
-		}
+	// The store already holds the frozen memory: rows below its base are
+	// immutable at every epoch, so build the memory only once.
+	var mem *classmem.Memory
+	if store != nil {
+		mem = store.Snapshot().Mem
+	} else {
+		mem = classmem.Build(classes, dim, seed)
 	}
-	if growing == nil {
-		if walDir != "" {
-			return nil, nil, fmt.Errorf("hdcshard: -wal set but no assigned range ends at class %d (only the tail range grows)", classes)
-		}
-		srv, err := dist.NewShardServer(slabs)
-		return srv, nil, err
-	}
-	srv, err := dist.NewShardServer(slabs, growing)
+	global, err := mem.Backend(backend)
 	if err != nil {
 		return nil, nil, err
 	}
-	return srv, store, nil
+	slabs := make([]dist.Slab, 0, len(frozen))
+	for _, r := range frozen {
+		eng, err := infer.NewChecked(infer.NewRangeBackend(global, r[0], r[1]), opts...)
+		if err != nil {
+			return nil, nil, err
+		}
+		slabs = append(slabs, dist.Slab{Base: r[0], Engine: eng})
+	}
+	srv, err := dist.NewShardServer(slabs, growing)
+	return srv, store, err
 }

@@ -167,9 +167,6 @@ func (v *Versioned) EnrolledTotal() uint64 { return v.Epoch() }
 // for an in-memory store): the operator's compaction gauge.
 func (v *Versioned) WALBytes() int64 { return v.walBytes.Load() }
 
-// Base returns the frozen class count the store was seeded with.
-func (v *Versioned) Base() int { return v.base }
-
 // Dim returns the hypervector dimensionality.
 func (v *Versioned) Dim() int { return v.dim }
 

@@ -221,8 +221,8 @@ func TestDurableFormatDigest(t *testing.T) {
 
 // TestVersionedEnrollFootprint bounds what one enrollment keeps alive:
 // the packed sign words, the label and amortized slab growth. The three
-// serving backends are rebuilt after every enrollment, as a server
-// rebuilding its engines per epoch does, so a backend constructor that
+// serving backends are rebuilt after every enrollment, as live views
+// queried at every epoch do, so a backend constructor that
 // materializes per-row state shows up here too. No backend is queried,
 // so the float/crossbar tiles a first query after each flip expands are
 // in neither figure. Each prototype is drawn inside the loop: one that

@@ -273,26 +273,26 @@ func (c *clientConn) close() {
 	c.fail(ErrClosed)
 }
 
+// poolConns is the number of pipelined connections a router keeps to
+// each replica.
+const poolConns = 2
+
 // replicaPool hands out pipelined connections to one replica address,
-// round-robin over up to size conns, dialing lazily and discarding
+// round-robin over poolConns conns, dialing lazily and discarding
 // broken conns so the next request redials.
 type replicaPool struct {
 	addr        string
-	size        int
 	dialTimeout time.Duration
 	brk         *breaker // per-replica circuit breaker (nil: always allow)
 
 	mu     sync.Mutex
-	conns  []*clientConn
+	conns  [poolConns]*clientConn
 	next   int
 	closed bool
 }
 
-func newReplicaPool(addr string, size int, dialTimeout time.Duration) *replicaPool {
-	if size < 1 {
-		size = 1
-	}
-	return &replicaPool{addr: addr, size: size, dialTimeout: dialTimeout, conns: make([]*clientConn, size)}
+func newReplicaPool(addr string, dialTimeout time.Duration) *replicaPool {
+	return &replicaPool{addr: addr, dialTimeout: dialTimeout}
 }
 
 // get returns a live connection, dialing if the slot is empty or dead.
@@ -305,7 +305,7 @@ func (p *replicaPool) get() (*clientConn, error) {
 		return nil, ErrClosed
 	}
 	slot := p.next
-	p.next = (p.next + 1) % p.size
+	p.next = (p.next + 1) % poolConns
 	c := p.conns[slot]
 	p.mu.Unlock()
 	if c != nil && !c.broken() {
@@ -353,7 +353,7 @@ func (p *replicaPool) info() (*ShardInfo, error) {
 func (p *replicaPool) close() {
 	p.mu.Lock()
 	conns := p.conns
-	p.conns = make([]*clientConn, p.size)
+	p.conns = [poolConns]*clientConn{}
 	p.closed = true
 	p.mu.Unlock()
 	for _, c := range conns {

@@ -18,9 +18,13 @@ import (
 // startGrowingServer serves one growing tail range from a versioned
 // store on a loopback listener. The caller owns server shutdown (the
 // tests kill and restart replicas deliberately).
-func startGrowingServer(t *testing.T, store *classmem.Versioned, base, width int, addr string) (*ShardServer, string) {
+func startGrowingServer(t *testing.T, store *classmem.Versioned, base int, addr string) (*ShardServer, string) {
 	t.Helper()
-	s, err := NewShardServer(nil, &GrowingSlab{Base: base, Width: width, Backend: "float", Store: store})
+	live, err := store.Live("float", base)
+	if err != nil {
+		t.Fatalf("Live: %v", err)
+	}
+	s, err := NewShardServer(nil, live)
 	if err != nil {
 		t.Fatalf("NewShardServer(growing): %v", err)
 	}
@@ -56,9 +60,9 @@ func TestRouterEnrollTwoPhaseParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	frozenAddr := startServer(t, []Slab{slabFor(t, frozen, [2]int{0, split})})
-	srvA, addrA := startGrowingServer(t, storeA, split, classes-split, "")
+	srvA, addrA := startGrowingServer(t, storeA, split, "")
 	t.Cleanup(func() { srvA.Close() })
-	srvB, addrB := startGrowingServer(t, storeB, split, classes-split, "")
+	srvB, addrB := startGrowingServer(t, storeB, split, "")
 	t.Cleanup(func() { srvB.Close() })
 
 	router := newTestRouter(t, Layout{Classes: classes, Dim: d, Shards: []ShardSpec{
@@ -143,7 +147,7 @@ func TestRouterEnrollTwoPhaseParity(t *testing.T) {
 	// committed=1, replays epoch 2 from the router's enroll log, and only
 	// then flips 3 — so B lands fully caught up, no restart-from-WAL
 	// needed for flips the router itself drove.
-	srvB2, addrB2 := startGrowingServer(t, storeB, split, classes-split, addrB)
+	srvB2, addrB2 := startGrowingServer(t, storeB, split, addrB)
 	t.Cleanup(func() { srvB2.Close() })
 	if addrB2 != addrB {
 		t.Fatalf("replica B rebound to %s, want %s", addrB2, addrB)
@@ -181,7 +185,7 @@ func TestRouterEnrollAllReplicasDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	frozenAddr := startServer(t, []Slab{slabFor(t, frozen, [2]int{0, split})})
-	srv, addr := startGrowingServer(t, store, split, classes-split, "")
+	srv, addr := startGrowingServer(t, store, split, "")
 	t.Cleanup(func() { srv.Close() })
 	router, err := NewRouter(Layout{Classes: classes, Dim: d, Shards: []ShardSpec{
 		{Range: [2]int{0, split}, Replicas: []string{frozenAddr}},

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/hdc"
 	"repro/internal/infer"
@@ -103,22 +104,46 @@ func endFrame(buf []byte) []byte {
 //
 //hdc:hotpath
 func readFrame(r *bufio.Reader, scratch []byte) (op byte, reqID uint32, body, scratchOut []byte, err error) {
-	var lenBuf [4]byte
-	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
+	// Peek, not ReadFull into a local array: that array would escape
+	// through the io.Reader call and cost an allocation per frame.
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return 0, 0, nil, scratch, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := binary.LittleEndian.Uint32(hdr)
+	_, _ = r.Discard(4) // cannot fail: Peek just buffered these 4 bytes
 	if n < frameHeaderSize || n > MaxFrame {
 		return 0, 0, nil, scratch, errFrameSize(n)
 	}
-	if cap(scratch) < int(n) {
-		scratch = make([]byte, n) //hdc:allow hotpathalloc amortized frame-scratch growth; the steady state reuses capacity
+	if cap(scratch) >= int(n) {
+		scratch = scratch[:n]
+		_, err = io.ReadFull(r, scratch)
+	} else {
+		scratch, err = readGrowing(r, scratch[:0], int(n))
 	}
-	scratch = scratch[:n]
-	if _, err = io.ReadFull(r, scratch); err != nil {
+	if err != nil {
 		return 0, 0, nil, scratch, err
 	}
 	return scratch[0], binary.LittleEndian.Uint32(scratch[1:5]), scratch[frameHeaderSize:], scratch, nil
+}
+
+// readGrowing reads n bytes into buf, growing it only as bytes arrive
+// (at most doubling per step), so a peer that announces a large frame
+// and sends nothing costs a small allocation, not the announced length.
+//
+//hdc:coldpath amortized frame-scratch growth; the steady state reuses capacity
+func readGrowing(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 64<<10)))
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // appendStr8 / appendStr16 append length-prefixed strings.

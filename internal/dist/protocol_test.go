@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/hdc"
@@ -166,6 +167,54 @@ func TestReadFrameRejectsOversizedLength(t *testing.T) {
 	_, _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:])), nil)
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("oversized frame: err=%v, want ErrProtocol", err)
+	}
+}
+
+// A header that announces MaxFrame and then ends must cost the reader
+// what arrived, not the announced 64 MB.
+func TestReadFrameAnnouncedLengthAllocatesOnArrival(t *testing.T) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], MaxFrame)
+	br := bufio.NewReader(bytes.NewReader(append(hdr[:], 1, 2, 3, 4, 5, 6, 7)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, _, err := readFrame(br, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated frame read without error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("truncated MaxFrame header allocated %d B, want < 1 MB", got)
+	}
+
+	// A frame longer than the first growth step still arrives intact.
+	body := make([]byte, 300<<10)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	frame := endFrame(append(beginFrame(nil, opError, 9), body...))
+	op, reqID, got, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), nil)
+	if err != nil || op != opError || reqID != 9 || !bytes.Equal(got, body) {
+		t.Fatalf("large frame: op %d reqID %d, %d body bytes, err %v", op, reqID, len(got), err)
+	}
+}
+
+// Reads into scratch that already fits the frame allocate nothing.
+func TestReadFrameSteadyStateZeroAlloc(t *testing.T) {
+	frame := appendError(nil, 3, "no slab at base 7")
+	stream := bytes.NewReader(nil)
+	br := bufio.NewReader(stream)
+	scratch := make([]byte, 0, len(frame))
+	allocs := testing.AllocsPerRun(100, func() {
+		stream.Reset(frame)
+		br.Reset(stream)
+		var err error
+		if _, _, _, scratch, err = readFrame(br, scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state readFrame: %v allocs/op, want 0", allocs)
 	}
 }
 

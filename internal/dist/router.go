@@ -22,12 +22,6 @@ type RouterConfig struct {
 	// DialTimeout bounds connection establishment + handshake, default
 	// 2s.
 	DialTimeout time.Duration
-	// Attempts caps replica tries per shard per query (failover budget),
-	// default: every replica once.
-	Attempts int
-	// ConnsPerReplica sizes each replica's pipelined connection pool,
-	// default 2.
-	ConnsPerReplica int
 	// BreakerThreshold condemns a replica after this many consecutive
 	// failed attempts (dial errors, timeouts, protocol faults): further
 	// attempts skip it instantly — no dial, no timeout — until a
@@ -47,9 +41,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
-	}
-	if c.ConnsPerReplica <= 0 {
-		c.ConnsPerReplica = 2
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 3
@@ -176,7 +167,7 @@ func NewRouter(layout Layout, cfg RouterConfig) (*Router, error) {
 	pool := func(addr string) *replicaPool {
 		p, ok := r.pools[addr]
 		if !ok {
-			p = newReplicaPool(addr, cfg.ConnsPerReplica, cfg.DialTimeout)
+			p = newReplicaPool(addr, cfg.DialTimeout)
 			p.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerBackoff, cfg.BreakerMaxBackoff)
 			r.pools[addr] = p
 		}
@@ -433,10 +424,10 @@ func (r *Router) TryQueryEpoch(batch *infer.Batch, k int) ([]infer.Result, uint6
 
 // callShard runs one shard range's scatter leg: clamp k to the slab
 // width (the growing tail range is st.epoch classes wider than the
-// layout says), then try replicas in preference order until one answers
-// within the timeout or the attempt budget is spent. Every attempt is
-// tagged with the pinned epoch; a replica that has not committed it yet
-// refuses and the next replica is tried. The reply slot is safe to
+// layout says), then try each replica once, in preference order, until
+// one answers within the timeout. Every attempt is tagged with the
+// pinned epoch; a replica that has not committed it yet refuses and the
+// next replica is tried. The reply slot is safe to
 // reuse across attempts because a timed-out attempt kills its
 // connection and waits for the reader to acknowledge before returning
 // (see clientConn.roundTrip).
@@ -452,13 +443,8 @@ func (r *Router) callShard(s *routerShard, st *epochState, grow bool, batch *inf
 		kk = width
 	}
 	out.kStride = kk
-	attempts := r.cfg.Attempts
-	if attempts <= 0 || attempts > len(s.pools) {
-		attempts = len(s.pools)
-	}
 	var lastErr error
-	for a := 0; a < attempts; a++ {
-		p := s.pools[a]
+	for a, p := range s.pools {
 		// Circuit breaker: a condemned replica costs nothing — no dial,
 		// no timeout — the attempt moves straight to the next replica.
 		if !p.brk.allow() {

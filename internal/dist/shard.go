@@ -24,28 +24,6 @@ type Slab struct {
 	Engine *infer.Engine
 }
 
-// GrowingSlab configures the one class range of a shard that accepts
-// live enrollment: the tail range of the class space, served from an
-// RCU-versioned store instead of a frozen engine. Queries name the
-// epoch they must be served at, and the shard realizes exactly that
-// class prefix; prepare/commit frames drive the store's two-phase
-// flip. Every other range of the class space is frozen — enrollment
-// only ever appends classes, and appended classes land at the end.
-type GrowingSlab struct {
-	// Base is the global class index of the range's first class.
-	Base int
-	// Width is the range's base-memory width: the store's frozen class
-	// count minus Base (the range must be the tail of the class space).
-	Width int
-	// Backend names the served backend ("float", "binary", "imc").
-	Backend string
-	// Workers is the engine shard-worker count (0 = NumCPU).
-	Workers int
-	// Store owns the full class memory plus enrolled rows; typically
-	// classmem.OpenVersioned so enrollments survive a crash.
-	Store *classmem.Versioned
-}
-
 // ShardServer serves one or more class-range slabs over the compact
 // binary protocol. Every accepted connection gets a reader goroutine;
 // each query frame is decoded into pooled scratch and executed on its
@@ -54,20 +32,17 @@ type GrowingSlab struct {
 // lock is the only serialization point, held just long enough to put
 // one fully encoded frame on the wire.
 //
-// A server with a GrowingSlab additionally serves that range
-// epoch-consistently: a query tagged epoch e is answered from the base
-// range plus exactly the first e enrollments (engines per epoch are
-// cached over prefix views — published rows are immutable, so an old
-// epoch's view stays byte-valid while newer epochs append), and a query
-// tagged past the committed epoch is refused so the router fails over
-// to a replica that has flipped.
+// A server with a growing range — a classmem.Live view of the tail of
+// the class space — additionally serves that range epoch-consistently:
+// a query tagged epoch e is answered by the view's engine for exactly
+// the base range plus the first e enrollments, and a query tagged past
+// the committed epoch is refused so the router fails over to a replica
+// that has flipped. Prepare and commit frames drive the view's store
+// through the two-phase flip.
 type ShardServer struct {
 	info   ShardInfo
 	byBase map[int]*infer.Engine
-
-	grow     *GrowingSlab
-	gmu      sync.Mutex
-	gEngines map[uint64]*infer.Engine // epoch → engine over the epoch's prefix view
+	grow   *classmem.Live
 
 	scratch sync.Pool // *shardScratch: per-query working set
 
@@ -89,8 +64,9 @@ type shardScratch struct {
 // NewShardServer wraps the slabs for serving. All engines must agree on
 // probe dimensionality, representation, and backend name (they are
 // views of one frozen class memory); slabs may not repeat a base. An
-// optional GrowingSlab (at most one) makes the tail range enrollable.
-func NewShardServer(slabs []Slab, growing ...*GrowingSlab) (*ShardServer, error) {
+// optional live view (at most one; nil is none) makes the tail range
+// enrollable.
+func NewShardServer(slabs []Slab, growing ...*classmem.Live) (*ShardServer, error) {
 	s := &ShardServer{
 		byBase: make(map[int]*infer.Engine, len(slabs)),
 		conns:  make(map[net.Conn]struct{}),
@@ -98,9 +74,8 @@ func NewShardServer(slabs []Slab, growing ...*GrowingSlab) (*ShardServer, error)
 	if len(growing) > 1 {
 		return nil, errors.New("dist: at most one growing slab")
 	}
-	if len(growing) == 1 && growing[0] != nil {
+	if len(growing) == 1 {
 		s.grow = growing[0]
-		s.gEngines = make(map[uint64]*infer.Engine)
 	}
 	if len(slabs) == 0 && s.grow == nil {
 		return nil, errors.New("dist: shard server needs at least one slab")
@@ -133,33 +108,19 @@ func NewShardServer(slabs []Slab, growing ...*GrowingSlab) (*ShardServer, error)
 		s.info.Slabs = append(s.info.Slabs, SlabInfo{Base: sl.Base, Classes: eng.Classes(), Labels: labels})
 	}
 	if g := s.grow; g != nil {
-		if g.Store == nil {
-			return nil, errors.New("dist: growing slab has no store")
-		}
-		if _, dup := s.byBase[g.Base]; dup {
-			return nil, fmt.Errorf("dist: growing slab base %d collides with a frozen slab", g.Base)
-		}
-		if g.Base+g.Width != g.Store.Base() {
-			return nil, fmt.Errorf("dist: growing slab [%d, %d) is not the tail of the %d-class base memory",
-				g.Base, g.Base+g.Width, g.Store.Base())
-		}
-		// Build the committed-epoch engine now: it validates the backend
-		// name and geometry, and fixes the shard identity when the growing
-		// slab is the only one.
-		eng, err := s.growEngine(g.Store.Epoch())
-		if err != nil {
-			return nil, err
+		if _, dup := s.byBase[g.First()]; dup {
+			return nil, fmt.Errorf("dist: growing slab base %d collides with a frozen slab", g.First())
 		}
 		if len(slabs) == 0 {
 			s.info = ShardInfo{
 				Version: ProtocolVersion,
-				Rep:     eng.Requires(),
-				Dim:     eng.Dim(),
-				Name:    eng.Name(),
+				Rep:     g.Requires(),
+				Dim:     g.Dim(),
+				Name:    g.Name(),
 			}
-		} else if eng.Dim() != s.info.Dim || eng.Requires() != s.info.Rep || eng.Name() != s.info.Name {
+		} else if g.Dim() != s.info.Dim || g.Requires() != s.info.Rep || g.Name() != s.info.Name {
 			return nil, fmt.Errorf("dist: growing slab (%s d=%d) disagrees with frozen slabs (%s d=%d)",
-				eng.Name(), eng.Dim(), s.info.Name, s.info.Dim)
+				g.Name(), g.Dim(), s.info.Name, s.info.Dim)
 		}
 	}
 	return s, nil
@@ -172,55 +133,13 @@ func (s *ShardServer) Info() ShardInfo {
 		return s.info
 	}
 	info := s.info
-	snap := s.grow.Store.Snapshot()
+	snap := s.grow.Store().Snapshot()
 	info.Epoch = snap.Epoch
-	g := SlabInfo{
-		Base:    s.grow.Base,
-		Classes: s.grow.Width + int(snap.Epoch),
-	}
-	// Snapshot labels are global; the slab serves the tail from Base on.
-	g.Labels = snap.Mem.Labels[s.grow.Base:]
+	// Snapshot labels are global; the slab serves the tail from First on.
+	labels := snap.Mem.Labels[s.grow.First():]
+	g := SlabInfo{Base: s.grow.First(), Classes: len(labels), Labels: labels}
 	info.Slabs = append(info.Slabs[:len(info.Slabs):len(info.Slabs)], g)
 	return info
-}
-
-// growEngine returns the engine serving the growing range at the given
-// epoch, building and caching it on first use. The engine wraps a range
-// view [Base, Base+Width+epoch) of a store backend whose snapshot is at
-// least that wide — published rows are immutable, so the prefix view is
-// the epoch's exact class memory no matter how far the store has grown
-// since.
-func (s *ShardServer) growEngine(epoch uint64) (*infer.Engine, error) {
-	g := s.grow
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	if eng, ok := s.gEngines[epoch]; ok {
-		return eng, nil
-	}
-	be, err := g.Store.Backend(g.Backend)
-	if err != nil {
-		return nil, err
-	}
-	var opts []infer.Option
-	if g.Workers > 0 {
-		opts = append(opts, infer.WithWorkers(g.Workers)) //hdc:allow hotpathalloc once-per-epoch cache miss; engine construction below allocates regardless
-	}
-	eng, err := infer.NewChecked(infer.NewRangeBackend(be, g.Base, g.Base+g.Width+int(epoch)), opts...)
-	if err != nil {
-		return nil, err
-	}
-	s.gEngines[epoch] = eng
-	// Bound the cache: queries target recent epochs (the router tags with
-	// its published epoch, which only advances), so engines far behind the
-	// committed epoch are dead weight.
-	if committed := g.Store.Epoch(); len(s.gEngines) > 16 {
-		for e := range s.gEngines {
-			if e+16 < committed {
-				delete(s.gEngines, e)
-			}
-		}
-	}
-	return eng, nil
 }
 
 // Serve accepts connections on ln until Close; it returns nil after a
@@ -384,18 +303,13 @@ func (s *ShardServer) serveConn(conn net.Conn) {
 func (s *ShardServer) handleQuery(w *connWriter, reqID uint32, sc *shardScratch) {
 	defer s.handlers.Done()
 	var eng *infer.Engine
-	if s.grow != nil && sc.q.base == s.grow.Base {
+	if s.grow != nil && sc.q.base == s.grow.First() {
 		// Epoch-consistent serving: answer from exactly the class prefix
-		// the query's epoch contains, and refuse epochs this replica has
-		// not committed — the router fails over to one that has, so a
+		// the query's epoch contains. The view refuses epochs this replica
+		// has not committed — the router fails over to one that has, so a
 		// merged ranking never mixes epochs.
-		if committed := s.grow.Store.Epoch(); sc.q.epoch > committed {
-			_ = w.write(appendError(sc.out, reqID, errEpochAhead(sc.q.epoch, committed).Error()))
-			s.scratch.Put(sc)
-			return
-		}
 		var err error
-		if eng, err = s.growEngine(sc.q.epoch); err != nil {
+		if eng, err = s.grow.At(sc.q.epoch); err != nil {
 			_ = w.write(appendError(sc.out, reqID, err.Error()))
 			s.scratch.Put(sc)
 			return
@@ -434,7 +348,7 @@ func (s *ShardServer) handleFlip(reqID uint32, rec *EnrollRecord, commit bool) [
 	if s.grow == nil {
 		return appendError(nil, reqID, "shard has no growing slab; enrollment is not served here")
 	}
-	st := s.grow.Store
+	st := s.grow.Store()
 	op := opPrepareOK
 	var err error
 	if commit {
@@ -458,11 +372,6 @@ func (s *ShardServer) handleFlip(reqID uint32, rec *EnrollRecord, commit bool) [
 //hdc:coldpath error construction for rejected frames
 func errBadOp(op byte) error {
 	return fmt.Errorf("%w: unexpected op %d", ErrProtocol, op)
-}
-
-//hdc:coldpath error construction for rejected queries
-func errEpochAhead(want, committed uint64) error {
-	return fmt.Errorf("%w: epoch %d not committed here (at %d)", ErrRemote, want, committed)
 }
 
 //hdc:coldpath error construction for rejected queries

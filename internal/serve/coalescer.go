@@ -96,11 +96,17 @@ type Coalescer struct {
 // backpressure).
 func NewCoalescer(q Querier, cfg Config) *Coalescer {
 	cfg = cfg.withDefaults()
+	// Shedding keeps at most Watermark requests queued, so admission
+	// below the watermark never blocks on the channel.
+	queue := cfg.Watermark
+	if queue == 0 {
+		queue = 4 * cfg.MaxBatch
+	}
 	c := &Coalescer{
 		cfg:       cfg,
 		needs:     q.Requires(),
 		dim:       q.Dim(),
-		reqs:      make(chan *request, cfg.Queue),
+		reqs:      make(chan *request, queue),
 		loopDone:  make(chan struct{}),
 		execSlots: make(chan struct{}, cfg.MaxInFlight),
 	}

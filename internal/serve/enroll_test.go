@@ -29,21 +29,6 @@ func protoFromDense(vec []float32) *hdc.Binary {
 	return hdc.FromBipolar(bp)
 }
 
-// enrollQuerier decorates an epoch-tagged engine with the versioned
-// store's enrollment counters, the shape cmd/hdcserve registers so
-// /stats can surface epoch, enrolled_total, and wal_bytes. The engine
-// is embedded (not the Querier interface) so Epoch() stays the
-// engine's own build-time stamp: the epoch a ranking is tagged with
-// must describe the class memory that produced it, not whatever the
-// store has advanced to since.
-type enrollQuerier struct {
-	*infer.Engine
-	store *classmem.Versioned
-}
-
-func (e *enrollQuerier) EnrolledTotal() uint64 { return e.store.EnrolledTotal() }
-func (e *enrollQuerier) WALBytes() int64       { return e.store.WALBytes() }
-
 // SwapQuerier must accept monotonic class growth — an epoch publish
 // flowing through the hot-reload seam — and keep rejecting shrink, so
 // an accidental swap back to a stale pre-enrollment engine cannot make
@@ -98,27 +83,23 @@ func TestCoalescerSwapQuerierGrowth(t *testing.T) {
 }
 
 // End-to-end live enrollment over HTTP: POST /v1/enroll flows through
-// the hook into the versioned store, the grown engine is swapped in,
-// and subsequent rankings carry the new epoch and can hit the new
-// class. Also covers request validation and the hook-less 501.
+// the hook into the versioned store, the store's live view serves the
+// new epoch from the next batch on, and subsequent rankings carry the
+// new epoch and can hit the new class. Also covers request validation
+// and the hook-less 501.
 func TestHTTPEnroll(t *testing.T) {
 	const classes, d = 9, 256
 	v := classmem.NewVersioned(classes, d, 32)
 	reg := NewRegistry()
 	t.Cleanup(func() { reg.Close() })
-	co := NewCoalescer(mustEpochQuerier(t, v), Config{MaxBatch: 4})
-	if err := reg.Register("float", co); err != nil {
+	if err := reg.Register("float", NewCoalescer(mustLive(t, v), Config{MaxBatch: 4})); err != nil {
 		t.Fatal(err)
 	}
 	hooks := Hooks{Enroll: func(ctx context.Context, req EnrollRequest) (uint64, error) {
 		if len(req.Vector) != d {
 			return 0, fmt.Errorf("%w: enroll vector has %d components, want %d", ErrBadInput, len(req.Vector), d)
 		}
-		ep, err := v.Enroll(req.Label, protoFromDense(req.Vector))
-		if err != nil {
-			return 0, err
-		}
-		return ep, co.SwapQuerier(mustEpochQuerier(t, v))
+		return v.Enroll(req.Label, protoFromDense(req.Vector))
 	}}
 	srv := newHandlerServer(t, reg, hooks)
 
@@ -211,14 +192,14 @@ func postJSON(t *testing.T, url string, v any) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-func mustEpochQuerier(t *testing.T, v *classmem.Versioned) Querier {
+// mustLive is the float view of the store that cmd/hdcserve registers:
+// it reports the store's epoch, enrolled_total and wal_bytes to /stats,
+// and tags every ranking with the epoch that produced it.
+func mustLive(t *testing.T, v *classmem.Versioned) *classmem.Live {
 	t.Helper()
-	b, err := v.Backend("float")
+	l, err := v.Live("float", 0, infer.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &enrollQuerier{
-		Engine: infer.New(b, infer.WithEpoch(v.Epoch()), infer.WithWorkers(2)),
-		store:  v,
-	}
+	return l
 }

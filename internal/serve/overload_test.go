@@ -43,6 +43,31 @@ func (s *slowQuerier) Classes() int                   { return s.inner.Classes()
 func (s *slowQuerier) Dim() int                       { return s.inner.Dim() }
 func (s *slowQuerier) Requires() infer.Representation { return s.inner.Requires() }
 
+// A negative watermark is 4× the effective MaxBatch, so a zero MaxBatch
+// (defaulted to 32) still sheds instead of silently blocking; 0 blocks.
+// The admission queue holds the watermark, or 4×MaxBatch when blocking.
+func TestConfigWatermarkDefault(t *testing.T) {
+	f := newFixture(5, 64, 1, 3)
+	eng := infer.New(infer.NewFloatBackend(f.phi, f.labels, 1))
+	for _, tc := range []struct {
+		in               Config
+		batch, wm, queue int
+	}{
+		{Config{MaxBatch: 0, Watermark: -1}, 32, 128, 128},
+		{Config{MaxBatch: 8, Watermark: -1}, 8, 32, 32},
+		{Config{MaxBatch: 8, Watermark: 5}, 8, 5, 5},
+		{Config{MaxBatch: 8}, 8, 0, 32},
+	} {
+		co := NewCoalescer(eng, tc.in)
+		got := co.Config()
+		if got.MaxBatch != tc.batch || got.Watermark != tc.wm || cap(co.reqs) != tc.queue {
+			t.Errorf("%+v: max-batch %d, watermark %d, queue %d; want %d/%d/%d",
+				tc.in, got.MaxBatch, got.Watermark, cap(co.reqs), tc.batch, tc.wm, tc.queue)
+		}
+		co.Close()
+	}
+}
+
 // Overload semantics under a deliberately slow backend: the queue fills
 // to the watermark, new requests fail fast with ErrOverloaded, the shed
 // counter moves, the observed queue depth stays bounded, and every

@@ -101,16 +101,12 @@ type Config struct {
 	// (benchmark/hdcbench), which still sets it, compiles; the next PR
 	// that may edit benchmark/ removes it.
 	MaxDelay time.Duration
-	// Queue is the admission queue capacity (default 4×MaxBatch). A full
-	// queue applies backpressure: Classify blocks until the coalescer
-	// drains or the caller's context expires.
-	Queue int
 	// Watermark is the admission-queue depth (requests admitted but not
 	// yet dispatched to the engine) beyond which new requests are shed
-	// with ErrOverloaded instead of queuing. 0 disables shedding and
-	// keeps blocking backpressure; when set, Queue is raised to at least
-	// Watermark so admission below the watermark never blocks.
-	// cmd/hdcserve enables it by default (-watermark).
+	// with ErrOverloaded instead of queuing; negative means 4×MaxBatch
+	// (cmd/hdcserve's default). 0 disables shedding: the queue then holds
+	// 4×MaxBatch requests, and a full queue blocks Classify until the
+	// coalescer drains or the caller's context expires.
 	Watermark int
 	// MaxInFlight is the number of execution slots: the cap on
 	// concurrently executing engine batches (default 2×GOMAXPROCS). With
@@ -127,11 +123,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
-	if c.Queue <= 0 {
-		c.Queue = 4 * c.MaxBatch
-	}
-	if c.Watermark > 0 && c.Queue < c.Watermark {
-		c.Queue = c.Watermark
+	if c.Watermark < 0 {
+		c.Watermark = 4 * c.MaxBatch
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
