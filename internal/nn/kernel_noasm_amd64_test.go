@@ -1,0 +1,5 @@
+//go:build amd64 && noasm
+
+package nn
+
+func init() { gemmKernel = "portable" }
