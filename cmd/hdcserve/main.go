@@ -420,8 +420,9 @@ func buildRouterRegistry(path string, shardTimeout time.Duration, cfg serve.Conf
 // precision selects which plans serve: "f32" builds "resnet" only,
 // "int8" builds "resnet-int8" only (the quantized plan of
 // nn.CompileQuantized, calibrated on a seed-deterministic synthetic
-// image batch at the serving geometry), and "both" serves the two side
-// by side from one registry so clients pick per request.
+// image batch at the serving geometry, one image per pass on all cores,
+// with scales bitwise those of a whole-batch pass), and "both" serves
+// the two side by side from one registry so clients pick per request.
 func buildEmbedders(dim int, seed int64, img, width int, precision string) (map[string]serve.Embedder, error) {
 	if img < 8 || width < 1 {
 		return nil, fmt.Errorf("bad embedder geometry: -embed-img %d -embed-width %d", img, width)

@@ -67,7 +67,7 @@ func Build(classes, dim int, seed int64) *Memory {
 func (m *Memory) Backend(name string) (infer.Backend, error) {
 	switch name {
 	case "float":
-		return infer.NewItemFloatBackend(m.Items, Temp, nil), nil
+		return infer.NewItemFloatBackend(m.Items, Temp), nil
 	case "binary":
 		return infer.NewBinaryBackend(m.Items), nil
 	case "imc":

@@ -41,7 +41,7 @@ func liveEnroll(t *testing.T, v *Versioned, i int) {
 
 // liveOracle ranks the probes at every epoch 0..n on engines over a
 // second store enrolled in lockstep: epoch e there holds exactly the
-// first e enrollments, with no view, cache or carried tile in play.
+// first e enrollments, with no view or cache in play.
 func liveOracle(t *testing.T, name string, lo, n int, probes *infer.Batch) [][]infer.Result {
 	t.Helper()
 	ref := NewVersioned(vtClasses, vtDim, vtSeed)

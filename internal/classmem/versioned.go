@@ -97,11 +97,6 @@ type Versioned struct {
 	snapshotEvery int
 	sinceSnap     int
 
-	// prevFloat carries the last float backend built by Backend() so
-	// the next epoch's backend inherits still-valid packed ϕᵀ tiles.
-	// Guarded by mu.
-	prevFloat *infer.FloatBackend
-
 	walBytes atomic.Int64
 }
 
@@ -304,19 +299,9 @@ func (v *Versioned) applyLocked(label string, words []uint64) {
 }
 
 // Backend realizes the named backend over the live snapshot, as
-// Memory.Backend does. The float path additionally carries packed ϕᵀ
-// tiles forward from the previous epoch's backend (rows are immutable,
-// so tiles fully inside the old prefix stay valid) — an epoch flip
-// re-packs only ranges that grew.
+// Memory.Backend does.
 func (v *Versioned) Backend(name string) (infer.Backend, error) {
-	mem := v.Snapshot().Mem
-	if name != "float" {
-		return mem.Backend(name)
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.prevFloat = infer.NewItemFloatBackend(mem.Items, Temp, v.prevFloat)
-	return v.prevFloat, nil
+	return v.Snapshot().Mem.Backend(name)
 }
 
 // Close releases the WAL file handle (the store stays queryable).

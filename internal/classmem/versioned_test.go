@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/hdc"
 	"repro/internal/infer"
-	"repro/internal/tensor"
 )
 
 const (
@@ -303,9 +302,10 @@ func TestVersionedPrepareCommit(t *testing.T) {
 }
 
 // The RCU contract: a snapshot taken before enrollments keeps serving
-// its exact pre-enrollment bytes, and backends built from old and new
-// epochs rank identically over the shared prefix.
+// its exact pre-enrollment bytes, and the store's float backend at each
+// epoch ranks exactly as a fresh store's at that epoch.
 func TestVersionedSnapshotImmutable(t *testing.T) {
+	const grow = 5
 	v := NewVersioned(vtClasses, vtDim, vtSeed)
 	old := v.Snapshot()
 	oldWords := append([]uint64(nil), old.Mem.Items.Slab()...)
@@ -315,29 +315,30 @@ func TestVersionedSnapshotImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldEng := infer.New(oldBe, infer.WithWorkers(2), infer.WithEpoch(old.Epoch))
-	probe := tensor.New(3, vtDim)
-	rng := rand.New(rand.NewSource(99))
-	for i := range probe.Data {
-		probe.Data[i] = float32(rng.NormFloat64())
-	}
-	wantOld, err := oldEng.TryQuery(infer.DenseBatch(probe), 3)
+	probes := liveProbes(grow)
+	wantOld, err := oldEng.TryQuery(probes, liveK)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Populate the store-built backend's tile cache pre-enrollment so
-	// the post-enrollment Backend call exercises real carry-over.
-	warm, err := v.Backend("float")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := infer.New(warm, infer.WithWorkers(2)).TryQuery(infer.DenseBatch(probe), 3); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < 5; i++ {
-		if _, err := v.Enroll("grow-"+string(rune('a'+i)), vtProto(i)); err != nil {
+	// Backend("float") at every epoch, each queried (so its tiles are
+	// built) before the next enrollment, against engines over a second
+	// store enrolled in lockstep.
+	want := liveOracle(t, "float", 0, grow, probes)
+	for e := 0; e <= grow; e++ {
+		if e > 0 {
+			liveEnroll(t, v, e-1)
+		}
+		be, err := v.Backend("float")
+		if err != nil {
 			t.Fatal(err)
+		}
+		got, err := infer.New(be, infer.WithWorkers(2)).TryQuery(probes, liveK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameRanking(got, want[e]); err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
 		}
 	}
 
@@ -350,49 +351,14 @@ func TestVersionedSnapshotImmutable(t *testing.T) {
 		}
 	}
 	// Old engine still serves the old ranking, byte-identical.
-	again, err := oldEng.TryQuery(infer.DenseBatch(probe), 3)
+	again, err := oldEng.TryQuery(probes, liveK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := range wantOld {
-		for i := range wantOld[p].TopK {
-			if again[p].TopK[i] != wantOld[p].TopK[i] {
-				t.Fatalf("old engine ranking changed at probe %d hit %d", p, i)
-			}
-		}
+	if err := sameRanking(again, wantOld); err != nil {
+		t.Fatalf("old engine ranking changed: %v", err)
 	}
-
-	// The grown float backend (with tile carry-over) must agree with a
-	// fresh no-carry backend over the new epoch — and with the binary
-	// path's prefix math: epoch arithmetic says base+5 classes.
-	s := v.Snapshot()
-	if s.Epoch != 5 || s.Mem.Items.Len() != vtClasses+5 {
+	if s := v.Snapshot(); s.Epoch != grow || s.Mem.Items.Len() != vtClasses+grow {
 		t.Fatalf("new snapshot: epoch %d, %d items", s.Epoch, s.Mem.Items.Len())
-	}
-	carried, err := v.Backend("float")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := s.Mem.Backend("float")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ec := infer.New(carried, infer.WithWorkers(2))
-	ef := infer.New(fresh, infer.WithWorkers(2))
-	rc, err := ec.TryQuery(infer.DenseBatch(probe), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := ef.TryQuery(infer.DenseBatch(probe), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := range rc {
-		for i := range rc[p].TopK {
-			if rc[p].TopK[i] != rf[p].TopK[i] {
-				t.Fatalf("carried vs fresh backend differ at probe %d hit %d: %+v vs %+v",
-					p, i, rc[p].TopK[i], rf[p].TopK[i])
-			}
-		}
 	}
 }

@@ -114,46 +114,20 @@ type floatTile struct {
 // NewFloatBackend wraps frozen class embeddings phi [C, d] with optional
 // labels (nil → positional) and temperature k.
 func NewFloatBackend(phi *tensor.Tensor, labels []string, k float32) *FloatBackend {
-	return newFloatBackend(denseRows(phi, labels, "NewFloatBackend"), k, nil)
+	return newFloatBackend(denseRows(phi, labels, "NewFloatBackend"), k)
 }
 
 // NewItemFloatBackend is the float backend over the packed prototypes of
-// mem (labels from the memory). prev, when non-nil, must be the backend
-// of an earlier epoch viewing a row prefix of the same backing slab: its
-// tiles for ranges that lie entirely inside that prefix are still valid
-// (rows are immutable once published) and are carried into the new
-// backend's cache, along with all shape-keyed logits pools, so an epoch
-// flip re-packs only ranges that gained rows.
-func NewItemFloatBackend(mem *hdc.ItemMemory, k float32, prev *FloatBackend) *FloatBackend {
-	return newFloatBackend(itemRows(mem), k, prev)
+// mem (labels from the memory).
+func NewItemFloatBackend(mem *hdc.ItemMemory, k float32) *FloatBackend {
+	return newFloatBackend(itemRows(mem), k)
 }
 
-func newFloatBackend(rows classRows, k float32, prev *FloatBackend) *FloatBackend {
+func newFloatBackend(rows classRows, k float32) *FloatBackend {
 	if k <= 0 {
 		panic("infer.FloatBackend: temperature must be positive")
 	}
-	b := &FloatBackend{classRows: rows, k: k}
-	if prev == nil || prev.Dim() != b.Dim() || prev.k != k {
-		return b
-	}
-	if pc := prev.caches.Load(); pc != nil {
-		carried := &floatCaches{
-			tiles:    make(map[[2]int]*floatTile, len(pc.tiles)),
-			dstPools: make(map[[2]int]*sync.Pool, len(pc.dstPools)),
-		}
-		//hdc:allow determinism copy-on-write into a fresh map; key order does not affect the published caches
-		for key, t := range pc.tiles {
-			if key[1] <= prev.Classes() {
-				carried.tiles[key] = t
-			}
-		}
-		//hdc:allow determinism copy-on-write into a fresh map; key order does not affect the published caches
-		for key, pool := range pc.dstPools {
-			carried.dstPools[key] = pool
-		}
-		b.caches.Store(carried)
-	}
-	return b
+	return &FloatBackend{classRows: rows, k: k}
 }
 
 func (b *FloatBackend) Name() string { return "float" }

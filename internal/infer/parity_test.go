@@ -191,7 +191,7 @@ func TestItemRowSourceParity(t *testing.T) {
 			name         string
 			dense, items Backend
 		}{
-			{"float", NewFloatBackend(phi, labels, temp), NewItemFloatBackend(im, temp, nil)},
+			{"float", NewFloatBackend(phi, labels, temp), NewItemFloatBackend(im, temp)},
 			{"imc-ideal", NewCrossbarBackend(phi, labels, temp, imc.Ideal()), NewItemCrossbarBackend(im, temp, imc.Ideal())},
 			{"imc-pcm", NewCrossbarBackend(phi, labels, temp, imc.TypicalPCM()), NewItemCrossbarBackend(im, temp, imc.TypicalPCM())},
 		} {

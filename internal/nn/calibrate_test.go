@@ -4,9 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -143,5 +147,140 @@ func TestCalibratedInt8PlanDigest(t *testing.T) {
 	}
 	if deq != w[1] {
 		t.Errorf("deq digest %s, want %s", deq, w[1])
+	}
+}
+
+// TestCompiledBatchInvariantPerSample pins what per-image calibration
+// rests on: the f32 plan computes each sample's output bit for bit the
+// same at batch 1 as inside a batch of 32. Nets: train_eval's (width 8)
+// and hdcserve's embedder (width 32), at 16 and 32 px.
+func TestCompiledBatchInvariantPerSample(t *testing.T) {
+	for _, width := range []int{8, 32} {
+		c := MustCompile(servingEncoder(1, width, 64))
+		for _, img := range []int{16, 32} {
+			x := servingCalibration(1, img)
+			s := NewScratch()
+			whole := c.Infer(x, s).Clone()
+			per := x.Len() / x.Dim(0)
+			d := whole.Dim(1)
+			for i := 0; i < x.Dim(0); i++ {
+				s.Reset()
+				one := c.Infer(tensor.FromSlice(x.Data[i*per:(i+1)*per], 1, 3, img, img), s)
+				for j, v := range one.Data {
+					if w := whole.Data[i*d+j]; math.Float32bits(v) != math.Float32bits(w) {
+						t.Fatalf("width %d, %d px: sample %d output %d is %v at batch 1, %v at batch %d",
+							width, img, i, j, v, w, x.Dim(0))
+					}
+				}
+			}
+		}
+	}
+}
+
+// wholeBatchMaxAbs is the reference calibration: one pass of the f32
+// plan over the whole batch, scanning each value after its defining op.
+func wholeBatchMaxAbs(pl *plan, x *tensor.Tensor) []float32 {
+	s := NewScratch()
+	n := x.Dim(0)
+	slab := s.Grab(pl.slot * n)
+	maxAbs := make([]float32, len(pl.valSize))
+	scanMaxAbs(maxAbs, 0, x.Data)
+	for _, op := range pl.ops {
+		op.run(pl, slab, x.Data, n, s)
+		if id := planOutID(op); id > 0 {
+			scanMaxAbs(maxAbs, id, pl.val(id, slab, x.Data, n))
+		}
+	}
+	return maxAbs
+}
+
+// TestCalibratePerImageMatchesWholeBatch pins calibratePlan's contract:
+// for any GOMAXPROCS (one worker, an even split, an uneven one), every
+// value's max|·| is bitwise the whole-batch pass's.
+func TestCalibratePerImageMatchesWholeBatch(t *testing.T) {
+	for _, width := range []int{8, 32} {
+		x := servingCalibration(1, 32)
+		pl, err := buildPlan(servingEncoder(1, width, 1536), planKey{3, 32, 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := wholeBatchMaxAbs(pl, x)
+		for _, procs := range []int{1, 2, 3} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := calibratePlan(pl, x)
+			runtime.GOMAXPROCS(prev)
+			for id := range want {
+				if math.Float32bits(got[id]) != math.Float32bits(want[id]) {
+					t.Fatalf("width %d, GOMAXPROCS %d: value %d max|v| %v, whole batch %v",
+						width, procs, id, got[id], want[id])
+				}
+			}
+		}
+	}
+}
+
+// TestCompiledInt8Footprint pins what building hdcserve's int8 embedder
+// costs in memory at the serving geometry, at a fixed GOMAXPROCS of 2
+// so the per-worker calibration slabs count the same on every machine.
+// One image per pass allocates ~45 MB, and what a GC leaves is the plan
+// (3.4 MB of packed int8 weights) plus the projection's f32 panels the
+// Linear layer caches (6 MB). A whole-batch pass through a pooled
+// scratch allocates 135 MB and leaves 107 MB live, most of it that
+// scratch parked in the shared pool, so it fails both bounds.
+func TestCompiledInt8Footprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the footprint guard runs in non-race CI")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	net := servingEncoder(1, 32, 1536)
+	calib := servingCalibration(1, 32)
+	var before, built, after runtime.MemStats
+	// Two cycles empty the scratch pool (primary, then victim cache), so
+	// a scratch an earlier test parked there does not hide in before.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := mustCompileQuantized(t, net, calib)
+	runtime.ReadMemStats(&built)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	const maxAllocMB, maxLiveMB = 56, 12
+	allocMB := float64(built.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	liveMB := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20)
+	t.Logf("CompileQuantized allocated %.1f MB and left %.1f MB live", allocMB, liveMB)
+	if allocMB > maxAllocMB {
+		t.Errorf("CompileQuantized allocated %.1f MB, want at most %d", allocMB, maxAllocMB)
+	}
+	if liveMB > maxLiveMB {
+		t.Errorf("CompileQuantized left %.1f MB live after GC, want at most %d", liveMB, maxLiveMB)
+	}
+}
+
+// TestCalibrateKeepsOffScratchPool pins that calibration never touches
+// the shared scratch pool: a calibration-sized slab put back there is
+// handed to every later batch-1 Infer that draws from it, and stays
+// resident for the life of the server.
+func TestCalibrateKeepsOffScratchPool(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "compile_quant.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "calibratePlan" {
+			continue
+		}
+		found = true
+		ast.Inspect(fn, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && (id.Name == "GetScratch" || id.Name == "PutScratch") {
+				t.Errorf("calibratePlan calls %s", id.Name)
+			}
+			return true
+		})
+	}
+	if !found {
+		t.Fatal("compile_quant.go declares no calibratePlan")
 	}
 }

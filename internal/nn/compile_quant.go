@@ -2,6 +2,8 @@ package nn
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -16,9 +18,11 @@ import (
 // epilogue fusion, CNHW layout, 1×1 fast paths, liveness-scheduled
 // buffers — and adds:
 //
-//   - calibration: the f32 plan runs once over the caller-supplied
-//     calibration batch, recording each intermediate value's max|·|;
-//     activation scales are symmetric per tensor, s = max|v|/127.
+//   - calibration: the f32 plan runs over the caller-supplied
+//     calibration batch one image per pass, on all cores, recording
+//     each intermediate value's max|·| — bitwise what one whole-batch
+//     pass records (calibratePlan); activation scales are symmetric
+//     per tensor, s = max|v|/127.
 //     ReLU preserves its input scale exactly (it is order-preserving
 //     on the quantized integers), so that step is a pure int8 op with
 //     no requantization error.
@@ -496,39 +500,74 @@ func planOutID(op planOp) int {
 	return -1
 }
 
-// calibratePlan runs the f32 plan over the calibration batch, scanning
-// each value right after its defining op stores it (buffers are reused,
-// so scanning later would read overwritten regions) and returning every
-// value's observed max|·|.
+// calibratePlan runs the f32 plan over the calibration batch one image
+// per pass, scanning each value right after its defining op stores it
+// (buffers are reused, so scanning later would read overwritten
+// regions) and returning every value's observed max|·| over the batch.
+//
+// The images are split into contiguous ranges over GOMAXPROCS
+// goroutines. Each owns a private, never-pooled Scratch holding one
+// image's slab, and its own max vector; the vectors merge with > at
+// the end. Both steps are exact: a max is order-free, and the plan's
+// per-sample values do not depend on the batch size (the GEMM is
+// column-independent, im2col and pooling work per sample), so the
+// result is bitwise that of one whole-batch pass at a fraction of its
+// footprint.
 func calibratePlan(pl *plan, calib *tensor.Tensor) []float32 {
-	s := GetScratch()
-	defer PutScratch(s)
 	n := calib.Dim(0)
-	slab := s.Grab(pl.slot * n)
+	per := calib.Len() / n
 	maxAbs := make([]float32, len(pl.valSize))
-	scan := func(id int, data []float32) {
-		m := maxAbs[id]
-		for _, v := range data {
-			if v < 0 {
-				v = -v
-			}
-			if v > m {
-				m = v
+	var mu sync.Mutex
+	tensor.ParallelRows(n, runtime.GOMAXPROCS(0), func(lo, hi int) {
+		own := make([]float32, len(pl.valSize))
+		s := NewScratch()
+		for i := lo; i < hi; i++ {
+			s.Reset()
+			x := calib.Data[i*per : (i+1)*per]
+			slab := s.Grab(pl.slot)
+			scanMaxAbs(own, 0, x)
+			for _, op := range pl.ops {
+				op.run(pl, slab, x, 1, s)
+				if id := planOutID(op); id > 0 {
+					scanMaxAbs(own, id, pl.val(id, slab, x, 1))
+				}
 			}
 		}
-		maxAbs[id] = m
-	}
-	scan(0, calib.Data)
-	for _, op := range pl.ops {
-		op.run(pl, slab, calib.Data, n, s)
-		if id := planOutID(op); id > 0 {
-			scan(id, pl.val(id, slab, calib.Data, n))
+		mu.Lock()
+		defer mu.Unlock()
+		for id, m := range own {
+			if m > maxAbs[id] {
+				maxAbs[id] = m
+			}
 		}
-	}
+	})
 	return maxAbs
 }
 
+// scanMaxAbs folds max|·| over data into maxAbs[id].
+func scanMaxAbs(maxAbs []float32, id int, data []float32) {
+	m := maxAbs[id]
+	for _, v := range data {
+		if v < 0 {
+			v = -v
+		}
+		if v > m {
+			m = v
+		}
+	}
+	maxAbs[id] = m
+}
+
 // --- Quantized lowering ---------------------------------------------------
+
+// quantizeRows is quant.QuantizeRows at the kernel's weight range,
+// split into row ranges over GOMAXPROCS goroutines. Each row's scale
+// and integers depend on that row alone, so the split is exact.
+func quantizeRows(q []int8, scales, w []float32, rows, cols int) {
+	tensor.ParallelRows(rows, runtime.GOMAXPROCS(0), func(lo, hi int) {
+		quant.QuantizeRows(q[lo*cols:hi*cols], scales[lo:hi], w[lo*cols:hi*cols], hi-lo, cols, tensor.Gemm8WMax)
+	})
+}
 
 // qValSpec is one quantized value's scheduling record. tr marks the
 // channel-major layouts (CNHW spatial, [d, N] flat) as opposed to
@@ -622,7 +661,7 @@ func buildQPlan(root Layer, key planKey, calib *tensor.Tensor) (*qplan, error) {
 			k := o.inC * o.kH * o.kW
 			qw := make([]int8, len(o.w))
 			ws := make([]float32, o.outC)
-			quant.QuantizeRows(qw, ws, o.w, o.outC, k, tensor.Gemm8WMax)
+			quantizeRows(qw, ws, o.w, o.outC, k)
 			in := mapID(o.inID)
 			deq := make([]float32, o.outC)
 			for r := range deq {
@@ -667,7 +706,7 @@ func buildQPlan(root Layer, key planKey, calib *tensor.Tensor) (*qplan, error) {
 			}
 			qw := make([]int8, len(wt))
 			ws := make([]float32, o.out)
-			quant.QuantizeRows(qw, ws, wt, o.out, o.in, tensor.Gemm8WMax)
+			quantizeRows(qw, ws, wt, o.out, o.in)
 			deq := make([]float32, o.out)
 			for r := range deq {
 				deq[r] = ws[r] * b.vals[in].scale
