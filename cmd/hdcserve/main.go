@@ -16,8 +16,8 @@
 //
 // With -router shards.json the process serves a DISTRIBUTED class
 // memory instead: no local engines — the registered model is a
-// dist.Router that consistent-hash-routes every coalesced probe batch
-// to the cmd/hdcshard processes in the routing table, merges their
+// dist.Router that routes every coalesced probe batch to the
+// cmd/hdcshard processes in the routing table, merges their
 // candidate lists with the engine's own comparator, and fails over
 // between replicas. The HTTP surface is unchanged; /v1/classify and
 // /v1/embed-classify transparently serve from N shard processes, with
@@ -47,7 +47,8 @@
 // enrollment is WAL-durable (fsync before publish) and replayed on
 // restart; -snapshot-every bounds replay length by compacting the log
 // into a snapshot. In -router mode the enrollment is forwarded to the
-// router's two-phase epoch flip across the growing range's replicas.
+// router's two-phase epoch flip across the growing range's replicas; a
+// flip no replica could take answers 503 with Retry-After.
 // Every classify response carries the epoch it was served at.
 //
 // Batching: each coalescer runs at most -max-inflight batches at once
@@ -94,6 +95,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -236,7 +238,11 @@ func main() {
 			return 0, err
 		}
 		if router != nil {
-			return router.Enroll(req.Label, proto)
+			epoch, err := router.Enroll(req.Label, proto)
+			if errors.Is(err, dist.ErrShardDown) || errors.Is(err, dist.ErrClosed) {
+				err = fmt.Errorf("%w: %w", serve.ErrUnavailable, err)
+			}
+			return epoch, err
 		}
 		return store.Enroll(req.Label, proto)
 	}

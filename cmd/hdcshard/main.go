@@ -11,20 +11,19 @@
 // serving the whole memory, for the deterministic backends (float,
 // binary).
 //
-// Modes:
+// Usage:
 //
-//	hdcshard -addr 127.0.0.1:7071 -range 0:25 [flags]
-//	    Serve explicit class ranges (comma-separated lo:hi pairs).
-//	hdcshard -layout shards.json -self 10.0.0.3:7070 [flags]
-//	    Serve every range shards.json assigns to -self, listening on it.
-//	hdcshard -write-layout shards.json -shards 4 -nodes a:7070,b:7070 -replication 2 [flags]
-//	    Partition the class space with the engine's split rule, place
-//	    ranges onto nodes via the consistent-hash ring, write the
-//	    routing table, and exit.
+//	hdcshard -addr 127.0.0.1:7071 -range 0:25[,25:50] [flags]
+//
+// -range names the contiguous class ranges to serve (comma-separated
+// lo:hi pairs). The routing table (shards.json) is written beside the
+// fleet and read by `hdcserve -router`; a shard never reads it.
 //
 // The tail range (the one ending at the global class count) is served
 // from an RCU-versioned store and accepts live enrollment through the
-// router's two-phase epoch flip; -wal DIR makes enrollments
+// router's two-phase epoch flip. That store is the enrollment history:
+// the router reads missed epochs out of one replica's store to catch up
+// another, and shards never dial each other. -wal DIR makes enrollments
 // crash-durable (fsync before ack) and replays them on restart, and
 // -snapshot-every bounds replay length by compacting the log.
 //
@@ -51,33 +50,19 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:7070", "listen address (with -range; 0 port resolves at bind)")
-		classes     = flag.Int("classes", 50, "global class count of the frozen memory")
-		dim         = flag.Int("d", 1536, "hypervector dimensionality")
-		seed        = flag.Int64("seed", 1, "master seed for the synthetic class memory (must match every shard and the router's oracle)")
-		backend     = flag.String("backend", "float", "backend to serve: float, binary, or imc")
-		workers     = flag.Int("workers", 0, "engine shard workers per slab (0 = NumCPU)")
-		ranges      = flag.String("range", "", "comma-separated lo:hi class ranges to serve")
-		layoutPath  = flag.String("layout", "", "shards.json routing table to take ranges from")
-		self        = flag.String("self", "", "this node's address in the layout (with -layout)")
-		writeLayout = flag.String("write-layout", "", "write a shards.json for -shards/-nodes/-replication and exit")
-		nShards     = flag.Int("shards", 0, "shard-range count (with -write-layout)")
-		nodes       = flag.String("nodes", "", "comma-separated node addresses (with -write-layout)")
-		replication = flag.Int("replication", 1, "replicas per range (with -write-layout)")
-		walDir      = flag.String("wal", "", "durable enrollment: WAL+snapshot directory for the growing tail range (empty = in-memory)")
-		snapEvery   = flag.Int("snapshot-every", 64, "compact the enrollment WAL into a snapshot every N enrollments (0 = never)")
+		addr      = flag.String("addr", "127.0.0.1:7070", "listen address (0 port resolves at bind)")
+		classes   = flag.Int("classes", 50, "global class count of the frozen memory")
+		dim       = flag.Int("d", 1536, "hypervector dimensionality")
+		seed      = flag.Int64("seed", 1, "master seed for the synthetic class memory (must match every shard and the router's oracle)")
+		backend   = flag.String("backend", "float", "backend to serve: float, binary, or imc")
+		workers   = flag.Int("workers", 0, "engine shard workers per slab (0 = NumCPU)")
+		ranges    = flag.String("range", "", "comma-separated lo:hi class ranges to serve")
+		walDir    = flag.String("wal", "", "durable enrollment: WAL+snapshot directory for the growing tail range (empty = in-memory)")
+		snapEvery = flag.Int("snapshot-every", 64, "compact the enrollment WAL into a snapshot every N enrollments (0 = never)")
 	)
 	flag.Parse()
 
-	if *writeLayout != "" {
-		if err := emitLayout(*writeLayout, *backend, *classes, *dim, *nShards, *nodes, *replication); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		return
-	}
-
-	slabRanges, listenAddr, err := resolveRanges(*ranges, *layoutPath, *self, *addr, *classes, *dim)
+	slabRanges, err := parseRanges(*ranges, *classes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -89,7 +74,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	ln, err := net.Listen("tcp", listenAddr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -117,70 +102,25 @@ func main() {
 	}
 }
 
-// emitLayout is the -write-layout mode: build the routing table the
-// router and every shard agree on, and write it.
-func emitLayout(path, backend string, classes, dim, nShards int, nodeList string, replication int) error {
-	var nodes []string
-	for _, n := range strings.Split(nodeList, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			nodes = append(nodes, n)
-		}
+// parseRanges turns the -range flag into the slab ranges to serve.
+func parseRanges(rangeList string, classes int) ([][2]int, error) {
+	if rangeList == "" {
+		return nil, fmt.Errorf("hdcshard: need -range")
 	}
-	l, err := dist.BuildLayout(backend, classes, dim, nShards, nodes, replication)
-	if err != nil {
-		return err
+	var out [][2]int
+	for _, spec := range strings.Split(rangeList, ",") {
+		lo, hi, ok := strings.Cut(strings.TrimSpace(spec), ":")
+		if !ok {
+			return nil, fmt.Errorf("hdcshard: bad -range element %q (want lo:hi)", spec)
+		}
+		l, err1 := strconv.Atoi(lo)
+		h, err2 := strconv.Atoi(hi)
+		if err1 != nil || err2 != nil || l < 0 || h <= l || h > classes {
+			return nil, fmt.Errorf("hdcshard: bad -range element %q for %d classes", spec, classes)
+		}
+		out = append(out, [2]int{l, h})
 	}
-	if err := dist.WriteLayout(path, l); err != nil {
-		return err
-	}
-	fmt.Printf("hdcshard: wrote %s: %d ranges over %d nodes, replication %d\n",
-		path, len(l.Shards), len(nodes), replication)
-	return nil
-}
-
-// resolveRanges turns the flag combination into the slab ranges to serve
-// and the address to listen on: explicit -range pairs, or the ranges a
-// layout assigns to -self.
-func resolveRanges(rangeList, layoutPath, self, addr string, classes, dim int) ([][2]int, string, error) {
-	switch {
-	case rangeList != "" && layoutPath != "":
-		return nil, "", fmt.Errorf("hdcshard: -range and -layout are mutually exclusive")
-	case rangeList != "":
-		var out [][2]int
-		for _, spec := range strings.Split(rangeList, ",") {
-			lo, hi, ok := strings.Cut(strings.TrimSpace(spec), ":")
-			if !ok {
-				return nil, "", fmt.Errorf("hdcshard: bad -range element %q (want lo:hi)", spec)
-			}
-			l, err1 := strconv.Atoi(lo)
-			h, err2 := strconv.Atoi(hi)
-			if err1 != nil || err2 != nil || l < 0 || h <= l || h > classes {
-				return nil, "", fmt.Errorf("hdcshard: bad -range element %q for %d classes", spec, classes)
-			}
-			out = append(out, [2]int{l, h})
-		}
-		return out, addr, nil
-	case layoutPath != "":
-		if self == "" {
-			return nil, "", fmt.Errorf("hdcshard: -layout needs -self (this node's address in the layout)")
-		}
-		l, err := dist.LoadLayout(layoutPath)
-		if err != nil {
-			return nil, "", err
-		}
-		if l.Classes != classes || l.Dim != dim {
-			return nil, "", fmt.Errorf("hdcshard: layout %s declares %d classes at d=%d, flags say %d at d=%d",
-				layoutPath, l.Classes, l.Dim, classes, dim)
-		}
-		out := l.RangesFor(self)
-		if len(out) == 0 {
-			return nil, "", fmt.Errorf("hdcshard: layout %s assigns no ranges to %q (nodes: %v)",
-				layoutPath, self, l.Nodes())
-		}
-		return out, self, nil
-	default:
-		return nil, "", fmt.Errorf("hdcshard: need -range or -layout (or -write-layout)")
-	}
+	return out, nil
 }
 
 // buildServer freezes the seed-derived class memory and wraps one

@@ -22,8 +22,10 @@
 // is tagged with the epoch it was answered at, a CRC-framed WAL plus
 // snapshot compaction (-wal, -snapshot-every) make enrollments
 // crash-safe with bit-identical replay, and the distributed tail
-// shard grows through a two-phase epoch flip with catch-up replay for
-// restarted replicas. See README.md ("Live enrollment").
+// shard grows through a two-phase epoch flip; the replicas' stores are
+// the only enrollment history, from which the router catches up a
+// lagging replica and finishes a flip a failed router left staged. See
+// README.md ("Live enrollment").
 //
 // The serving path's performance contracts are enforced statically by
 // the in-tree analyzer suite in internal/analysis (driven by

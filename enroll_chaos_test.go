@@ -387,7 +387,8 @@ func TestEnrollChaosSingleProcess(t *testing.T) {
 // range plus a two-replica growing range behind `hdcserve -router` —
 // enrolls through the router's two-phase epoch flip under traffic,
 // SIGKILLs one growing replica mid-stream, restarts it from its WAL,
-// drives it back in sync through the router's catch-up replay, then
+// drives it back in sync through the router's catch-up from its peer's
+// store, then
 // kills the OTHER replica so the recovered one alone must serve the
 // latest epoch byte-identically to the oracle.
 func TestEnrollChaosDistributed(t *testing.T) {
@@ -502,8 +503,8 @@ func TestEnrollChaosDistributed(t *testing.T) {
 
 	// pollA reads replica A's committed epoch straight off its info
 	// frame (via a throwaway single-replica router), bypassing the
-	// front — the observation point for "has the catch-up replay
-	// landed on the restarted replica".
+	// front — the observation point for "has the catch-up landed on the
+	// restarted replica".
 	pollA := func() (uint64, bool) {
 		lay := dist.Layout{Classes: classes, Dim: dim, Shards: []dist.ShardSpec{
 			{Range: [2]int{0, split}, Replicas: []string{frozenAddr}},
@@ -554,8 +555,9 @@ func TestEnrollChaosDistributed(t *testing.T) {
 	// Phase 3: restart A on the same address from its WAL — it replays
 	// to the epoch it died at, behind the cluster. Each new enrollment
 	// offers the router a chance to re-admit it (the circuit breaker's
-	// half-open probe) and replay the missed epochs from the enroll log;
-	// keep enrolling until A's committed epoch catches the cluster's.
+	// half-open probe) and catch it up with the missed epochs read from
+	// B's store; keep enrolling until A's committed epoch catches the
+	// cluster's.
 	_, _, _ = spawnGrow(addrA, walA)
 	deadline := time.Now().Add(20 * time.Second)
 	for {

@@ -31,33 +31,32 @@ import (
 // repro/internal; "<pkg>.*" keeps a whole package. An entry that is
 // reached, or names nothing, fails the test: the list only shrinks.
 var reachKeep = map[string]string{
-	"baselines.RunTCN":                  "TCN baseline of Fig. 4; pinned by the baseline digests and a candidate for the Fig. 4 plot",
-	"baselines.TCNConfig":               "configuration of the TCN baseline (see baselines.RunTCN)",
-	"baselines.TCNResult":               "result of the TCN baseline (see baselines.RunTCN)",
-	"baselines.trainContrastive":        "training loop of the TCN baseline (see baselines.RunTCN)",
-	"classmem.Versioned.EnrolledRecord": "read by dist tests; the source a lagging replica will pull epochs from",
-	"dist.Router.Stats":                 "read by dist tests; the router's counters for the fleet's /stats",
-	"dist.RouterStats":                  "result type of dist.Router.Stats",
-	"dist.breaker.condemned":            "read by breaker tests; the breaker state a router health report will expose",
-	"faultnet.*":                        "fault-injecting TCP proxy used by dist tests",
-	"hdc.NewRandomBinary":               "test fixture for packages that consume binary hypervectors",
-	"hdc.Bipolar.Hamming":               "test fixture: bipolar reference distance for the packed kernels",
-	"hdc.Bipolar.Permute":               "ρ, the permutation operation of the HDC algebra; pinned by the hdc property tests",
-	"hdc.Bipolar.PermuteInto":           "allocation-free ρ on bipolar vectors (see hdc.Bipolar.Permute)",
-	"hdc.Binary.Permute":                "ρ on packed binary vectors (see hdc.Bipolar.Permute)",
-	"hdc.Binary.PermuteInto":            "word-level ρ kernel on packed binary vectors (see hdc.Bipolar.Permute)",
-	"imc.Ideal":                         "test fixture: the noise-free crossbar configuration",
-	"imc.SimilarityKernel.Logits":       "test fixture: crossbar logits for the infer parity tests and root benchmarks",
-	"imc.SimilarityKernel.Rows":         "test fixture: tile size checked by the imc row-range tests",
-	"tensor.RandUniform":                "test fixture: uniform random tensors",
-	"tensor.Tensor.HasNaN":              "test fixture: NaN guard for training tests",
-	"nn.ResNet50Config":                 "the paper's full-scale ResNet-50 backbone",
-	"nn.ResNet101Config":                "the paper's full-scale ResNet-101 backbone",
-	"nn.SaveParams":                     "phase I/II to phase III checkpoint flow (TestCheckpointResumesPhaseIII)",
-	"nn.LoadParams":                     "phase I/II to phase III checkpoint flow (TestCheckpointResumesPhaseIII)",
-	"nn.SaveParamsFile":                 "phase I/II to phase III checkpoint flow (TestCheckpointResumesPhaseIII)",
-	"nn.LoadParamsFile":                 "phase I/II to phase III checkpoint flow (TestCheckpointResumesPhaseIII)",
-	"nn.StateParams":                    "phase I/II to phase III checkpoint flow (TestCheckpointResumesPhaseIII)",
+	"baselines.RunTCN":            "TCN baseline of Fig. 4; pinned by the baseline digests and a candidate for the Fig. 4 plot",
+	"baselines.TCNConfig":         "configuration of the TCN baseline (see baselines.RunTCN)",
+	"baselines.TCNResult":         "result of the TCN baseline (see baselines.RunTCN)",
+	"baselines.trainContrastive":  "training loop of the TCN baseline (see baselines.RunTCN)",
+	"dist.Router.Stats":           "read by dist tests; the router's counters for the fleet's /stats",
+	"dist.RouterStats":            "result type of dist.Router.Stats",
+	"dist.breaker.condemned":      "read by breaker tests; the breaker state a router health report will expose",
+	"faultnet.*":                  "fault-injecting TCP proxy used by dist tests",
+	"hdc.NewRandomBinary":         "test fixture for packages that consume binary hypervectors",
+	"hdc.Bipolar.Hamming":         "test fixture: bipolar reference distance for the packed kernels",
+	"hdc.Bipolar.Permute":         "ρ, the permutation operation of the HDC algebra; pinned by the hdc property tests",
+	"hdc.Bipolar.PermuteInto":     "allocation-free ρ on bipolar vectors (see hdc.Bipolar.Permute)",
+	"hdc.Binary.Permute":          "ρ on packed binary vectors (see hdc.Bipolar.Permute)",
+	"hdc.Binary.PermuteInto":      "word-level ρ kernel on packed binary vectors (see hdc.Bipolar.Permute)",
+	"imc.Ideal":                   "test fixture: the noise-free crossbar configuration",
+	"imc.SimilarityKernel.Logits": "test fixture: crossbar logits for the infer parity tests and root benchmarks",
+	"imc.SimilarityKernel.Rows":   "test fixture: tile size checked by the imc row-range tests",
+	"tensor.RandUniform":          "test fixture: uniform random tensors",
+	"tensor.Tensor.HasNaN":        "test fixture: NaN guard for training tests",
+	"nn.ResNet50Config":           "the paper's full-scale ResNet-50 backbone",
+	"nn.ResNet101Config":          "the paper's full-scale ResNet-101 backbone",
+	"nn.SaveParams":               "phase I/II to phase III checkpoint flow (TestCheckpointResumesPhaseIII)",
+	"nn.LoadParams":               "phase I/II to phase III checkpoint flow (TestCheckpointResumesPhaseIII)",
+	"nn.SaveParamsFile":           "phase I/II to phase III checkpoint flow (TestCheckpointResumesPhaseIII)",
+	"nn.LoadParamsFile":           "phase I/II to phase III checkpoint flow (TestCheckpointResumesPhaseIII)",
+	"nn.StateParams":              "phase I/II to phase III checkpoint flow (TestCheckpointResumesPhaseIII)",
 }
 
 // reachStdlibMethods are methods the standard library calls through its

@@ -166,16 +166,22 @@ func (v *Versioned) WALBytes() int64 { return v.walBytes.Load() }
 func (v *Versioned) Dim() int { return v.dim }
 
 // EnrolledRecord returns the label and packed words of the enrollment
-// that produced epoch (1-based: epoch e is the e'th enrollment).
-// Used for idempotency checks and router catch-up replay. The words
-// slice is a read-only view into the slab.
+// that produced epoch (1-based: epoch e is the e'th enrollment), if it
+// is published or staged as published+1. It is what a distributed
+// router reads to catch a lagging replica up from a peer, and to finish
+// a flip a previous router left staged. The words slice is a read-only
+// view into the store.
 func (v *Versioned) EnrolledRecord(epoch uint64) (string, []uint64, bool) {
-	s := v.cur.Load()
-	if epoch == 0 || epoch > s.Epoch {
-		return "", nil, false
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	switch published := uint64(v.slab.rows - v.base); {
+	case epoch >= 1 && epoch <= published:
+		row := v.base + int(epoch) - 1
+		return v.slab.labels[row], v.slab.words[row*v.wpv : (row+1)*v.wpv : (row+1)*v.wpv], true
+	case v.pending != nil && v.pending.epoch == epoch:
+		return v.pending.label, v.pending.words, true
 	}
-	row := v.base + int(epoch) - 1
-	return s.Mem.Labels[row], s.Mem.Items.Slab()[row*v.wpv : (row+1)*v.wpv], true
+	return "", nil, false
 }
 
 // Enroll appends one class prototype and publishes the next epoch in a

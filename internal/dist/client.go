@@ -18,7 +18,7 @@ import (
 type call struct {
 	reply *shardReply
 	info  *ShardInfo // hello replies land here instead
-	flip  *flipReply // prepare/commit replies land here instead
+	flip  *flipReply // prepare/commit/record replies land here instead
 	err   error
 	done  chan struct{}
 }
@@ -173,10 +173,13 @@ func (c *clientConn) readLoop() {
 			} else {
 				*cl.info = *info
 			}
-		case opPrepareOK, opCommitOK:
-			if cl.flip == nil {
+		case opPrepareOK, opCommitOK, opRecordOK:
+			switch {
+			case cl.flip == nil:
 				cl.err = errBadOp(op)
-			} else {
+			case op == opRecordOK:
+				cl.err = decodeRecordOK(body, cl.flip)
+			default:
 				cl.err = decodeFlipOK(body, cl.flip)
 			}
 		case opError:
@@ -228,18 +231,19 @@ func (c *clientConn) roundTrip(buf []byte, epoch uint64, base, k int, rep infer.
 	}
 }
 
-// flipTrip sends one prepare or commit frame and waits for the flip
-// acknowledgment. Same condemnation-on-timeout discipline as roundTrip.
+// flipTrip sends one enrollment control frame — op is opPrepare,
+// opCommit, or opRecord, each about rec's epoch — and waits for its
+// reply. Same condemnation-on-timeout discipline as roundTrip.
 //
 //hdc:coldpath enrollment flips are rare control traffic, off the query hot path
-func (c *clientConn) flipTrip(rec *EnrollRecord, commit bool, timeout time.Duration) (flipReply, error) {
+func (c *clientConn) flipTrip(op byte, rec *EnrollRecord, timeout time.Duration) (flipReply, error) {
 	cl := &call{flip: &flipReply{}, done: make(chan struct{})}
 	id := c.register(cl)
 	var frame []byte
-	if commit {
-		frame = appendCommit(nil, id, rec.Epoch)
-	} else {
+	if op == opPrepare {
 		frame = appendPrepare(nil, id, rec)
+	} else {
+		frame = appendEpochFrame(nil, op, id, rec.Epoch)
 	}
 	if err := c.write(frame, timeout); err != nil {
 		c.drop(id)

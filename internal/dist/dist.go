@@ -13,16 +13,15 @@
 //     slabs, batched multi-probe frames, pipelined request IDs so one
 //     connection carries many in-flight batches. No JSON on the hot
 //     path.
-//   - A Router owns the class-space Layout: contiguous ranges produced
-//     by the same infer.SplitRanges rule the in-process engine shards
-//     with, placed onto shard nodes by a consistent-hash Ring (stable
-//     under node arrival/departure, replicated for failover). Each
-//     query batch fans out to every shard concurrently over pooled,
-//     pipelined connections, per-shard candidate lists come back with
-//     global class indices and raw IEEE-754 score bits, and the router
-//     merges them with the engine's own exported comparator
-//     (infer.HitSorter) — so merged rankings are byte-identical to the
-//     single-process engine at any shard count and any replica layout.
+//   - A Router owns the class-space Layout (shards.json): contiguous
+//     class ranges, each listing the shard processes that serve a
+//     replica of it. Each query batch fans out to every shard
+//     concurrently over pooled, pipelined connections, per-shard
+//     candidate lists come back with global class indices and raw
+//     IEEE-754 score bits, and the router merges them with the engine's
+//     own exported comparator (infer.HitSorter) — so merged rankings
+//     are byte-identical to the single-process engine at any shard
+//     count and any replica layout.
 //   - Failover: every shard range lists replica addresses in preference
 //     order. A per-shard timeout bounds each attempt, a failed replica
 //     is retried on the next one (bounded by the replica list), and
@@ -39,9 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
-
-	"repro/internal/infer"
 )
 
 // Typed errors of the distributed path.
@@ -116,21 +112,6 @@ func (l *Layout) Validate() error {
 	return nil
 }
 
-// RangesFor returns the class ranges the given node address serves
-// under this layout (the lookup cmd/hdcshard uses to find its slabs).
-func (l *Layout) RangesFor(addr string) [][2]int {
-	var out [][2]int
-	for _, s := range l.Shards {
-		for _, a := range s.Replicas {
-			if a == addr {
-				out = append(out, s.Range)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // LoadLayout reads and validates a shards.json file.
 func LoadLayout(path string) (Layout, error) {
 	var l Layout
@@ -157,53 +138,4 @@ func WriteLayout(path string, l Layout) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// BuildLayout partitions [0, classes) into nShards contiguous ranges
-// with the engine's own SplitRanges rule and places each range onto
-// `replication` distinct nodes chosen by the consistent-hash ring over
-// the node addresses. The placement is deterministic in (classes,
-// nShards, nodes) and stable under node churn: adding or removing one
-// node moves only the ranges that hashed next to it, which is what
-// makes rebalancing a class memory of millions of classes incremental
-// instead of total.
-func BuildLayout(model string, classes, dim, nShards int, nodes []string, replication int) (Layout, error) {
-	if nShards <= 0 {
-		return Layout{}, fmt.Errorf("%w: non-positive shard count %d", ErrLayout, nShards)
-	}
-	if len(nodes) == 0 {
-		return Layout{}, fmt.Errorf("%w: no nodes", ErrLayout)
-	}
-	if replication <= 0 {
-		replication = 1
-	}
-	if replication > len(nodes) {
-		replication = len(nodes)
-	}
-	ring := NewRing(nodes, 0)
-	l := Layout{Model: model, Classes: classes, Dim: dim}
-	for _, r := range infer.SplitRanges(classes, nShards) {
-		key := fmt.Sprintf("slab/%d-%d", r[0], r[1])
-		l.Shards = append(l.Shards, ShardSpec{Range: r, Replicas: ring.Owners(key, replication)})
-	}
-	if err := l.Validate(); err != nil {
-		return Layout{}, err
-	}
-	return l, nil
-}
-
-// Nodes returns the distinct replica addresses in the layout, sorted.
-func (l *Layout) Nodes() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range l.Shards {
-		for _, a := range s.Replicas {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }

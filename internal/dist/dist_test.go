@@ -405,11 +405,36 @@ func TestRouterRejectsLayoutMismatch(t *testing.T) {
 	}
 }
 
-func TestLayoutFileRoundTrip(t *testing.T) {
-	l, err := BuildLayout("m", 50, 16, 3, []string{"h1:1", "h2:2"}, 2)
-	if err != nil {
-		t.Fatal(err)
+func TestLayoutValidateRejectsBrokenCover(t *testing.T) {
+	cases := []struct {
+		name string
+		l    Layout
+	}{
+		{"gap", Layout{Classes: 10, Dim: 4, Shards: []ShardSpec{
+			{Range: [2]int{0, 4}, Replicas: []string{"a"}},
+			{Range: [2]int{5, 10}, Replicas: []string{"a"}}}}},
+		{"overlap", Layout{Classes: 10, Dim: 4, Shards: []ShardSpec{
+			{Range: [2]int{0, 6}, Replicas: []string{"a"}},
+			{Range: [2]int{5, 10}, Replicas: []string{"a"}}}}},
+		{"short", Layout{Classes: 10, Dim: 4, Shards: []ShardSpec{
+			{Range: [2]int{0, 9}, Replicas: []string{"a"}}}}},
+		{"no replicas", Layout{Classes: 10, Dim: 4, Shards: []ShardSpec{
+			{Range: [2]int{0, 10}}}}},
+		{"empty", Layout{Classes: 10, Dim: 4}},
 	}
+	for _, tc := range cases {
+		if err := tc.l.Validate(); !errors.Is(err, ErrLayout) {
+			t.Errorf("%s: Validate()=%v, want ErrLayout", tc.name, err)
+		}
+	}
+}
+
+func TestLayoutFileRoundTrip(t *testing.T) {
+	l := Layout{Model: "m", Classes: 50, Dim: 16, Shards: []ShardSpec{
+		{Range: [2]int{0, 17}, Replicas: []string{"h1:1", "h2:2"}},
+		{Range: [2]int{17, 34}, Replicas: []string{"h2:2", "h1:1"}},
+		{Range: [2]int{34, 50}, Replicas: []string{"h1:1"}},
+	}}
 	path := filepath.Join(t.TempDir(), "shards.json")
 	if err := WriteLayout(path, l); err != nil {
 		t.Fatalf("WriteLayout: %v", err)

@@ -44,8 +44,8 @@ func startGrowingServer(t *testing.T, store *classmem.Versioned, base int, addr 
 // byte-parity oracle: a single-process engine over a versioned store
 // enrolled in lockstep. It also exercises the failure legs the 2PC
 // exists for — a replica that is down during a flip stays cleanly
-// behind, keeps getting served around, and is caught up by enroll-log
-// replay the next time the router prepares on it.
+// behind, keeps getting served around, and is caught up from its peer's
+// store the next time the router prepares on it.
 func TestRouterEnrollTwoPhaseParity(t *testing.T) {
 	const classes, d, split = 12, 128, 6
 	const seed = 21
@@ -144,9 +144,8 @@ func TestRouterEnrollTwoPhaseParity(t *testing.T) {
 
 	// Restart B on the same address, still at epoch 1. The next flip
 	// prepares epoch 3 on it, gets the clean gap refusal carrying
-	// committed=1, replays epoch 2 from the router's enroll log, and only
-	// then flips 3 — so B lands fully caught up, no restart-from-WAL
-	// needed for flips the router itself drove.
+	// committed=1, reads epoch 2 from A's store, prepares and commits it
+	// on B, and only then flips 3 — so B lands fully caught up.
 	srvB2, addrB2 := startGrowingServer(t, storeB, split, addrB)
 	t.Cleanup(func() { srvB2.Close() })
 	if addrB2 != addrB {
@@ -202,4 +201,214 @@ func TestRouterEnrollAllReplicasDown(t *testing.T) {
 	if router.Epoch() != 0 {
 		t.Fatalf("epoch advanced to %d with no replica committed", router.Epoch())
 	}
+}
+
+// growingFleet is one frozen range on its own server and a growing tail
+// range on two replicas, A before B in preference order, plus the
+// single-process oracle store the tests enroll in lockstep.
+type growingFleet struct {
+	classes        int
+	dim            int
+	storeA, storeB *classmem.Versioned
+	oracle         *classmem.Versioned
+	srvA, srvB     *ShardServer
+	layout         Layout
+	batch          *infer.Batch
+}
+
+func newGrowingFleet(t *testing.T, seed int64) *growingFleet {
+	t.Helper()
+	const classes, d, split = 12, 128, 6
+	f := &growingFleet{
+		classes: classes,
+		dim:     d,
+		storeA:  classmem.NewVersioned(classes, d, seed),
+		storeB:  classmem.NewVersioned(classes, d, seed),
+		oracle:  classmem.NewVersioned(classes, d, seed),
+	}
+	frozen, err := f.oracle.Backend("float")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozenAddr := startServer(t, []Slab{slabFor(t, frozen, [2]int{0, split})})
+	var addrA, addrB string
+	f.srvA, addrA = startGrowingServer(t, f.storeA, split, "")
+	f.srvB, addrB = startGrowingServer(t, f.storeB, split, "")
+	t.Cleanup(func() { f.srvA.Close(); f.srvB.Close() })
+	f.layout = Layout{Classes: classes, Dim: d, Shards: []ShardSpec{
+		{Range: [2]int{0, split}, Replicas: []string{frozenAddr}},
+		{Range: [2]int{split, classes}, Replicas: []string{addrA, addrB}},
+	}}
+	rng := rand.New(rand.NewSource(seed + 1))
+	x := tensor.New(4, d)
+	for i := range x.Data {
+		x.Data[i] = rng.Float32()*2 - 1
+	}
+	f.batch = infer.DenseBatch(x)
+	return f
+}
+
+// check holds the router's ranking and epoch tag to a fresh engine over
+// the oracle store.
+func (f *growingFleet) check(t *testing.T, router *Router, wantEpoch uint64) {
+	t.Helper()
+	ob, err := f.oracle.Backend("float")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := infer.New(ob).TryQuery(f.batch, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, epoch, err := router.TryQueryEpoch(f.batch, 5)
+	if err != nil {
+		t.Fatalf("router at epoch %d: %v", wantEpoch, err)
+	}
+	if epoch != wantEpoch || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ranking at epoch %d (want %d) diverges from the oracle\n got: %+v\nwant: %+v", epoch, wantEpoch, got, want)
+	}
+}
+
+// sameRecord fails unless both stores hold the same enrollment at epoch.
+func sameRecord(t *testing.T, a, b *classmem.Versioned, epoch uint64) {
+	t.Helper()
+	la, wa, oka := a.EnrolledRecord(epoch)
+	lb, wb, okb := b.EnrolledRecord(epoch)
+	if !oka || !okb || la != lb || !reflect.DeepEqual(wa, wb) {
+		t.Fatalf("epoch %d: records differ: %q (held %v) vs %q (held %v), words equal %v",
+			epoch, la, oka, lb, okb, reflect.DeepEqual(wa, wb))
+	}
+}
+
+// TestRouterEnrollCatchUpAfterRouterRestart: replica B misses epoch 2,
+// then the router restarts. The new router holds no record of epoch 2,
+// so its next flip must catch B up from A's store: B ends at epoch 3
+// with A's record 2, and rankings stay byte-identical to the oracle.
+func TestRouterEnrollCatchUpAfterRouterRestart(t *testing.T) {
+	f := newGrowingFleet(t, 31)
+	rng := rand.New(rand.NewSource(32))
+	enroll := func(router *Router, label string, want uint64) {
+		t.Helper()
+		proto := hdc.NewRandomBinary(rng, f.dim)
+		if ep, err := router.Enroll(label, proto); err != nil || ep != want {
+			t.Fatalf("enroll %s: epoch %d err %v, want epoch %d", label, ep, err, want)
+		}
+		if _, err := f.oracle.Enroll(label, proto); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first, err := NewRouter(f.layout, RouterConfig{ShardTimeout: 5 * time.Second, DialTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enroll(first, "one", 1)
+	addrB := f.layout.Shards[1].Replicas[1]
+	f.srvB.Close()
+	enroll(first, "two", 2)
+	first.Close()
+	if f.storeA.Epoch() != 2 || f.storeB.Epoch() != 1 {
+		t.Fatalf("before the restart: A=%d B=%d, want 2/1", f.storeA.Epoch(), f.storeB.Epoch())
+	}
+
+	srvB, _ := startGrowingServer(t, f.storeB, f.layout.Shards[1].Range[0], addrB)
+	t.Cleanup(func() { srvB.Close() })
+	second := newTestRouter(t, f.layout)
+	if second.Epoch() != 2 {
+		t.Fatalf("restarted router adopted epoch %d, want 2", second.Epoch())
+	}
+	enroll(second, "three", 3)
+	if f.storeA.Epoch() != 3 || f.storeB.Epoch() != 3 {
+		t.Fatalf("after the new router's flip 3: A=%d B=%d, want 3/3", f.storeA.Epoch(), f.storeB.Epoch())
+	}
+	for e := uint64(1); e <= 3; e++ {
+		sameRecord(t, f.storeB, f.storeA, e)
+	}
+	f.check(t, second, 3)
+
+	// B alone now serves epoch 3.
+	f.srvA.Close()
+	f.check(t, second, 3)
+}
+
+// TestRouterEnrollFinishesStagedFlip: an enrollment staged but never
+// committed — a router died between prepare and commit — is finished by
+// the next router's flip, wherever it was left. Enrolling "fresh" then
+// lands at epoch 2 behind "ghost" at epoch 1 on every replica, no
+// replica is condemned, and the growing range keeps serving. A leftover
+// that is the request itself lands once, at its own epoch.
+func TestRouterEnrollFinishesStagedFlip(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stageA bool
+		stageB bool
+	}{
+		{"both", true, true},
+		{"first-only", true, false},
+		{"second-only", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newGrowingFleet(t, 41)
+			rng := rand.New(rand.NewSource(42))
+			ghost := hdc.NewRandomBinary(rng, f.dim)
+			for _, st := range []struct {
+				on    bool
+				store *classmem.Versioned
+			}{{tc.stageA, f.storeA}, {tc.stageB, f.storeB}} {
+				if st.on {
+					if err := st.store.Prepare(1, "ghost", ghost); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			router := newTestRouter(t, f.layout)
+
+			fresh := hdc.NewRandomBinary(rng, f.dim)
+			ep, err := router.Enroll("fresh", fresh)
+			if err != nil || ep != 2 {
+				t.Fatalf("enroll fresh: epoch %d err %v, want epoch 2", ep, err)
+			}
+			for _, proto := range []struct {
+				label string
+				v     *hdc.Binary
+			}{{"ghost", ghost}, {"fresh", fresh}} {
+				if _, err := f.oracle.Enroll(proto.label, proto.v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, store := range map[string]*classmem.Versioned{"A": f.storeA, "B": f.storeB} {
+				if store.Epoch() != 2 {
+					t.Fatalf("replica %s at epoch %d, want 2", name, store.Epoch())
+				}
+				sameRecord(t, store, f.oracle, 1)
+				sameRecord(t, store, f.oracle, 2)
+			}
+			if got := router.Label(f.classes); got != "ghost" {
+				t.Fatalf("router label of epoch 1's class = %q, want ghost", got)
+			}
+			f.check(t, router, 2)
+			if s := router.Stats(); s.BreakerSkips != 0 {
+				t.Fatalf("breaker skips = %d, want 0: a clean refusal condemned a replica", s.BreakerSkips)
+			}
+		})
+	}
+
+	t.Run("retry", func(t *testing.T) {
+		f := newGrowingFleet(t, 43)
+		proto := hdc.NewRandomBinary(rand.New(rand.NewSource(44)), f.dim)
+		if err := f.storeB.Prepare(1, "fresh", proto); err != nil {
+			t.Fatal(err)
+		}
+		router := newTestRouter(t, f.layout)
+		if ep, err := router.Enroll("fresh", proto); err != nil || ep != 1 {
+			t.Fatalf("retried enroll: epoch %d err %v, want epoch 1", ep, err)
+		}
+		if _, err := f.oracle.Enroll("fresh", proto); err != nil {
+			t.Fatal(err)
+		}
+		if f.storeA.Epoch() != 1 || f.storeB.Epoch() != 1 {
+			t.Fatalf("after the retry: A=%d B=%d, want 1/1", f.storeA.Epoch(), f.storeB.Epoch())
+		}
+		f.check(t, router, 1)
+	})
 }

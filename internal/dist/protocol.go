@@ -27,36 +27,40 @@ import (
 // the request's ID echoed, so one connection carries many overlapping
 // batches.
 //
-//	hello   := version:u8
-//	info    := version:u8 rep:u8 dim:u32 name:str8 epoch:u64
-//	           nslabs:u16 { base:u32 classes:u32 { label:str16 }*classes }*nslabs
-//	query   := epoch:u64 base:u32 k:u16 rep:u8 n:u16 dim:u32 slab
-//	           slab(dense)  := f32[n*dim]
-//	           slab(packed) := u64[n*ceil(dim/64)]
-//	results := n:u16 { kk:u16 { class:u32 score:f64bits }*kk }*n
-//	prepare := epoch:u64 label:str16 nwords:u32 { w:u64 }*nwords
-//	commit  := epoch:u64
-//	flipok  := ok:u8 committed:u64        (answers prepare and commit)
-//	error   := msg:str16
+//	hello    := version:u8
+//	info     := version:u8 rep:u8 dim:u32 name:str8 epoch:u64
+//	            nslabs:u16 { base:u32 classes:u32 { label:str16 }*classes }*nslabs
+//	query    := epoch:u64 base:u32 k:u16 rep:u8 n:u16 dim:u32 slab
+//	            slab(dense)  := f32[n*dim]
+//	            slab(packed) := u64[n*ceil(dim/64)]
+//	results  := n:u16 { kk:u16 { class:u32 score:f64bits }*kk }*n
+//	prepare  := epoch:u64 label:str16 nwords:u32 { w:u64 }*nwords
+//	commit   := epoch:u64
+//	flipok   := ok:u8 committed:u64        (answers prepare and commit)
+//	record   := epoch:u64
+//	recordok := ok:u8 prepare
+//	error    := msg:str16
 //
 // Classes in results frames are GLOBAL indices (the shard adds its
 // slab base before replying), and scores travel as raw IEEE-754 bits,
 // so the router's merge sees bit-for-bit the numbers the shard engine
 // computed — the byte-identical-ranking contract survives the wire.
 //
-// Live enrollment (version 2): info advertises the shard's committed
-// enrollment epoch, every query names the epoch it must be served at
-// (a shard that grows serves exactly the class prefix epoch e
-// contains; a shard asked past its committed epoch answers an error
-// and the router fails over), and prepare/commit drive the two-phase
-// epoch flip — prepare stages one WAL-durable enrollment, commit
-// publishes it. A flipok with ok=0 is a clean refusal (the replica's
-// committed epoch lags the flip) carrying where the replica actually
-// is, so the router can replay the missing enrollments.
+// Live enrollment: info advertises the shard's committed enrollment
+// epoch, every query names the epoch it must be served at (a shard that
+// grows serves exactly the class prefix epoch e contains; a shard asked
+// past its committed epoch answers an error and the router fails over),
+// and prepare/commit drive the two-phase epoch flip — prepare stages
+// one WAL-durable enrollment, commit publishes it. A flipok with ok=0
+// is a clean refusal carrying the replica's committed epoch: it lags the
+// flip, or holds a different enrollment staged at the flip's epoch.
+// record (version 3) reads the enrollment behind an epoch out of a
+// replica's store, published or staged at published+1; a refusal
+// carries the asked epoch, no label and no words.
 const (
 	// ProtocolVersion is negotiated in hello/info; a mismatch is a
 	// handshake error, never a silent misparse.
-	ProtocolVersion = 2
+	ProtocolVersion = 3
 	// MaxFrame caps a frame payload; a peer announcing more is treated
 	// as corrupt and the connection is dropped.
 	MaxFrame = 64 << 20
@@ -73,6 +77,8 @@ const (
 	opPrepareOK
 	opCommit
 	opCommitOK
+	opRecord
+	opRecordOK
 )
 
 // frameHeaderSize is the fixed per-payload prefix: op + reqID.
@@ -176,7 +182,7 @@ func (r *wireReader) need(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if len(r.b) < n {
+	if uint(n) > uint(len(r.b)) { // also rejects a negative n
 		r.err = errTruncated(n, len(r.b))
 		return nil
 	}
@@ -287,8 +293,10 @@ func decodeInfo(body []byte) (*ShardInfo, error) {
 	nslabs := int(r.u16())
 	for i := 0; i < nslabs && !r.fail(); i++ {
 		sl := SlabInfo{Base: int(r.u32()), Classes: int(r.u32())}
-		if sl.Classes < 0 || sl.Classes > MaxFrame {
-			return nil, fmt.Errorf("dist: info slab %d declares %d classes", i, sl.Classes)
+		// Every label takes at least its 2-byte length, so a count the
+		// remaining body cannot hold is refused before the table is sized.
+		if sl.Classes < 0 || sl.Classes > len(r.b)/2 {
+			return nil, fmt.Errorf("%w: info slab %d declares %d classes in %d bytes", ErrProtocol, i, sl.Classes, len(r.b))
 		}
 		sl.Labels = make([]string, 0, sl.Classes)
 		for c := 0; c < sl.Classes; c++ {
@@ -383,6 +391,9 @@ func decodeQuery(body []byte, q *wireQuery) error {
 	q.dim = int(r.u32())
 	if r.fail() {
 		return r.err
+	}
+	if q.dim <= 0 {
+		return errBadDim(q.dim)
 	}
 	switch q.rep {
 	case infer.RepDense:
@@ -498,36 +509,44 @@ func decodeResults(body []byte, rep *shardReply) error {
 	return nil
 }
 
-// --- prepare / commit -----------------------------------------------------
+// --- prepare / commit / record --------------------------------------------
 
-// EnrollRecord is one enrollment as it travels the wire and lives in
-// the router's replay log: the epoch it creates, the class label, and
+// EnrollRecord is one enrollment as it travels the wire and as a
+// replica's store holds it: the epoch it creates, the class label, and
 // the packed prototype words (the durable unit — dense rows and norms
-// are rederived from the words everywhere, which is what keeps replayed
-// and forwarded enrollments bit-identical).
+// are rederived from the words everywhere, which is what keeps
+// caught-up and forwarded enrollments bit-identical).
 type EnrollRecord struct {
 	Epoch uint64
 	Label string
 	Words []uint64
 }
 
-// flipReply is a decoded prepare/commit acknowledgment. OK=false is a
-// clean refusal with Committed reporting the replica's actual epoch,
-// so the router can replay the enrollments the replica missed.
+// flipReply is a decoded enrollment control reply. OK=false is a clean
+// refusal. Committed is the replica's committed epoch (prepare and
+// commit replies); Record is the enrollment read (record replies with
+// OK set).
 type flipReply struct {
 	OK        bool
 	Committed uint64
+	Record    *EnrollRecord
 }
 
 func appendPrepare(buf []byte, reqID uint32, rec *EnrollRecord) []byte {
 	buf = beginFrame(buf, opPrepare, reqID)
+	return endFrame(appendRecordBody(buf, rec))
+}
+
+// appendRecordBody appends the prepare body: the one encoding of an
+// EnrollRecord, shared by prepare and recordok frames.
+func appendRecordBody(buf []byte, rec *EnrollRecord) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, rec.Epoch)
 	buf = appendStr16(buf, rec.Label)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Words)))
 	for _, w := range rec.Words {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
-	return endFrame(buf)
+	return buf
 }
 
 //hdc:coldpath enrollment decode runs once per flip, off the query hot path
@@ -535,30 +554,34 @@ func decodePrepare(body []byte) (*EnrollRecord, error) {
 	r := wireReader{b: body}
 	rec := &EnrollRecord{Epoch: r.u64(), Label: r.str16()}
 	nwords := int(r.u32())
-	if nwords < 0 || nwords > MaxFrame/8 {
-		return nil, fmt.Errorf("%w: prepare declares %d words", ErrProtocol, nwords)
-	}
-	rec.Words = make([]uint64, nwords)
-	for i := range rec.Words {
-		rec.Words[i] = r.u64()
-	}
+	// Check the words arrived before allocating them: a short frame
+	// must not cost what it declares.
+	raw := r.need(8 * nwords)
 	if r.fail() {
 		return nil, r.err
 	}
 	if len(r.b) != 0 {
 		return nil, errTrailing(len(r.b))
 	}
+	rec.Words = make([]uint64, nwords)
+	for i := range rec.Words {
+		rec.Words[i] = binary.LittleEndian.Uint64(raw[8*i:])
+	}
 	return rec, nil
 }
 
-func appendCommit(buf []byte, reqID uint32, epoch uint64) []byte {
-	buf = beginFrame(buf, opCommit, reqID)
+// appendEpochFrame encodes a frame whose whole body is one epoch: commit
+// and record.
+func appendEpochFrame(buf []byte, op byte, reqID uint32, epoch uint64) []byte {
+	buf = beginFrame(buf, op, reqID)
 	buf = binary.LittleEndian.AppendUint64(buf, epoch)
 	return endFrame(buf)
 }
 
+// decodeEpoch parses a commit or record body.
+//
 //hdc:coldpath enrollment decode runs once per flip, off the query hot path
-func decodeCommit(body []byte) (uint64, error) {
+func decodeEpoch(body []byte) (uint64, error) {
 	r := wireReader{b: body}
 	epoch := r.u64()
 	if r.fail() {
@@ -572,11 +595,7 @@ func decodeCommit(body []byte) (uint64, error) {
 
 func appendFlipOK(buf []byte, op byte, reqID uint32, ok bool, committed uint64) []byte {
 	buf = beginFrame(buf, op, reqID)
-	var okb byte
-	if ok {
-		okb = 1
-	}
-	buf = append(buf, okb)
+	buf = append(buf, okByte(ok))
 	return endFrame(binary.LittleEndian.AppendUint64(buf, committed))
 }
 
@@ -592,6 +611,34 @@ func decodeFlipOK(body []byte, rep *flipReply) error {
 		return errTrailing(len(r.b))
 	}
 	return nil
+}
+
+// appendRecordOK answers a record request. A refusal carries the asked
+// epoch with an empty label and no words.
+func appendRecordOK(buf []byte, reqID uint32, ok bool, rec *EnrollRecord) []byte {
+	buf = beginFrame(buf, opRecordOK, reqID)
+	buf = append(buf, okByte(ok))
+	return endFrame(appendRecordBody(buf, rec))
+}
+
+// decodeRecordOK parses a recordok body into rep. The ok byte must be 0
+// or 1, so every body that decodes re-encodes to the same bytes.
+//
+//hdc:coldpath enrollment decode runs once per flip, off the query hot path
+func decodeRecordOK(body []byte, rep *flipReply) (err error) {
+	if len(body) == 0 || body[0] > 1 {
+		return fmt.Errorf("%w: recordok without a 0/1 flag", ErrProtocol)
+	}
+	rep.OK = body[0] == 1
+	rep.Record, err = decodePrepare(body[1:])
+	return err
+}
+
+func okByte(ok bool) byte {
+	if ok {
+		return 1
+	}
+	return 0
 }
 
 // --- error ----------------------------------------------------------------
@@ -628,6 +675,11 @@ func errTruncated(want, have int) error {
 //hdc:coldpath error construction for rejected frames
 func errTrailing(n int) error {
 	return fmt.Errorf("%w: %d trailing bytes after frame body", ErrProtocol, n)
+}
+
+//hdc:coldpath error construction for rejected frames
+func errBadDim(dim int) error {
+	return fmt.Errorf("%w: probe dimension %d", ErrProtocol, dim)
 }
 
 //hdc:coldpath error construction for rejected frames

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -238,4 +239,110 @@ func TestDecodeResultsRejectsOverflowingCandidateList(t *testing.T) {
 	if err := decodeResults(body, &rep); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("overflowing reply: err=%v, want ErrProtocol", err)
 	}
+}
+
+// enrollRecordFixture is a record whose words straddle a sign-word
+// boundary and whose label is not ASCII.
+func enrollRecordFixture() *EnrollRecord {
+	return &EnrollRecord{Epoch: 7, Label: "nachtreiher-ä", Words: []uint64{0, math.MaxUint64, 0x0123456789abcdef}}
+}
+
+func TestEnrollFramesRoundTrip(t *testing.T) {
+	rec := enrollRecordFixture()
+	op, reqID, body := readOne(t, appendPrepare(nil, 5, rec))
+	if op != opPrepare || reqID != 5 {
+		t.Fatalf("prepare: op=%d reqID=%d", op, reqID)
+	}
+	got, err := decodePrepare(body)
+	if err != nil || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("prepare round trip: %+v err %v, want %+v", got, err, rec)
+	}
+
+	for _, op := range []byte{opCommit, opRecord} {
+		gotOp, _, body := readOne(t, appendEpochFrame(nil, op, 6, 1<<40+3))
+		if epoch, err := decodeEpoch(body); gotOp != op || err != nil || epoch != 1<<40+3 {
+			t.Fatalf("op %d: decoded op %d epoch %d err %v", op, gotOp, epoch, err)
+		}
+	}
+
+	for _, ok := range []bool{true, false} {
+		var rep flipReply
+		_, _, body := readOne(t, appendFlipOK(nil, opPrepareOK, 8, ok, 41))
+		if err := decodeFlipOK(body, &rep); err != nil || rep.OK != ok || rep.Committed != 41 {
+			t.Fatalf("flipok(%v): %+v err %v", ok, rep, err)
+		}
+	}
+
+	var rep flipReply
+	op, _, body = readOne(t, appendRecordOK(nil, 9, true, rec))
+	if err := decodeRecordOK(body, &rep); op != opRecordOK || err != nil || !rep.OK || !reflect.DeepEqual(rep.Record, rec) {
+		t.Fatalf("recordok: op %d %+v err %v, want %+v", op, rep, err, rec)
+	}
+	refusal := &EnrollRecord{Epoch: 3, Words: []uint64{}}
+	_, _, body = readOne(t, appendRecordOK(nil, 9, false, refusal))
+	if err := decodeRecordOK(body, &rep); err != nil || rep.OK || !reflect.DeepEqual(rep.Record, refusal) {
+		t.Fatalf("recordok refusal: %+v err %v", rep, err)
+	}
+}
+
+// Every proper prefix of an enrollment body is a protocol error, and so
+// is a byte past its end.
+func TestEnrollFramesRejectTruncation(t *testing.T) {
+	rec := enrollRecordFixture()
+	decoders := []struct {
+		name   string
+		frame  []byte
+		decode func([]byte) error
+	}{
+		{"prepare", appendPrepare(nil, 1, rec), func(b []byte) error { _, err := decodePrepare(b); return err }},
+		{"commit", appendEpochFrame(nil, opCommit, 1, 9), func(b []byte) error { _, err := decodeEpoch(b); return err }},
+		{"record", appendEpochFrame(nil, opRecord, 1, 9), func(b []byte) error { _, err := decodeEpoch(b); return err }},
+		{"flipok", appendFlipOK(nil, opCommitOK, 1, true, 9), func(b []byte) error { return decodeFlipOK(b, &flipReply{}) }},
+		{"recordok", appendRecordOK(nil, 1, true, rec), func(b []byte) error { return decodeRecordOK(b, &flipReply{}) }},
+	}
+	for _, d := range decoders {
+		_, _, body := readOne(t, d.frame)
+		for n := 0; n < len(body); n++ {
+			if err := d.decode(body[:n]); !errors.Is(err, ErrProtocol) {
+				t.Fatalf("%s truncated to %d of %d bytes: err=%v, want ErrProtocol", d.name, n, len(body), err)
+			}
+		}
+		if err := d.decode(append(body[:len(body):len(body)], 0)); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("%s with a trailing byte: err=%v, want ErrProtocol", d.name, err)
+		}
+	}
+	_, _, body := readOne(t, appendRecordOK(nil, 1, true, rec))
+	body[0] = 2
+	if err := decodeRecordOK(body, &flipReply{}); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("recordok flag 2: err=%v, want ErrProtocol", err)
+	}
+}
+
+// FuzzDecode feeds one body to every frame decoder. None may panic or
+// allocate on a count the body cannot back, and a prepare or recordok
+// body that decodes must re-encode to exactly its bytes — one record,
+// one encoding. The seed corpus (testdata/fuzz/FuzzDecode) holds the
+// bodies of the round-trip tests' frames.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		_, _ = decodeInfo(body)
+		var q wireQuery
+		_ = decodeQuery(body, &q)
+		_ = decodeResults(body, &shardReply{kStride: 4})
+		_, _ = decodeEpoch(body)
+		_ = decodeFlipOK(body, &flipReply{})
+		_ = decodeError(body)
+		_, _, _, _, _ = readFrame(bufio.NewReader(bytes.NewReader(body)), nil)
+		if rec, err := decodePrepare(body); err == nil {
+			if again := appendRecordBody(nil, rec); !bytes.Equal(again, body) {
+				t.Fatalf("prepare body re-encodes differently:\n got %x\nwant %x", again, body)
+			}
+		}
+		var rep flipReply
+		if err := decodeRecordOK(body, &rep); err == nil {
+			if again := appendRecordBody([]byte{okByte(rep.OK)}, rep.Record); !bytes.Equal(again, body) {
+				t.Fatalf("recordok body re-encodes differently:\n got %x\nwant %x", again, body)
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -95,6 +96,10 @@ type routerShard struct {
 // coalescer fronts it exactly as it fronts a local engine, which is how
 // `hdcserve -router` serves /v1/classify from N shard processes without
 // the HTTP layer noticing.
+//
+// Enrollment state lives on the replicas, not here: the router holds
+// only its published epoch and label table, rebuilt from a handshake at
+// start-up, so a restarted router loses nothing (see Enroll).
 type Router struct {
 	name    string
 	classes int // layout (base-memory) class count; live count is in est
@@ -110,14 +115,9 @@ type Router struct {
 	// layout geometry.
 	est atomic.Pointer[epochState]
 
-	// emu serializes enrollment flips; enrollLog keeps every record
-	// flipped through this router so a replica that was down for some
-	// epochs can be caught up (prepare+commit replay) before the next
-	// flip. Records from before this router started cannot be replayed —
-	// a replica lagging the adopted startup epoch serves old-epoch reads
-	// but refuses prepares until restarted from an up-to-date WAL.
-	emu       sync.Mutex
-	enrollLog map[uint64]*EnrollRecord
+	// emu serializes enrollment flips. The router keeps no enrollment
+	// records: the growing range's replica stores hold them all.
+	emu sync.Mutex
 
 	scratch sync.Pool // *routeScratch
 
@@ -155,13 +155,12 @@ func NewRouter(layout Layout, cfg RouterConfig) (*Router, error) {
 	}
 	cfg = cfg.withDefaults()
 	r := &Router{
-		name:      layout.Model,
-		classes:   layout.Classes,
-		dim:       layout.Dim,
-		labels:    make([]string, layout.Classes),
-		pools:     map[string]*replicaPool{},
-		enrollLog: map[uint64]*EnrollRecord{},
-		cfg:       cfg,
+		name:    layout.Model,
+		classes: layout.Classes,
+		dim:     layout.Dim,
+		labels:  make([]string, layout.Classes),
+		pools:   map[string]*replicaPool{},
+		cfg:     cfg,
 	}
 	r.scratch.New = func() any { return new(routeScratch) }
 	pool := func(addr string) *replicaPool {
@@ -485,21 +484,30 @@ func (r *Router) callShard(s *routerShard, st *epochState, grow bool, batch *inf
 // Enroll drives one class enrollment through the two-phase epoch flip
 // and returns the epoch at which the class is queryable cluster-wide.
 //
-// Phase 1 prepares epoch published+1 on every admissible replica of
-// the growing tail range: each acked prepare is WAL-durable on its
-// replica before the ack. A replica whose committed epoch lags (it was
-// down for earlier flips) is first caught up by replaying the missed
-// records from the router's enroll log. Phase 2 commits on the
-// prepared replicas; the first commit ack makes the enrollment
-// queryable somewhere, and only then does the router publish the new
-// epoch — queries tagged with it fail over until they land on a
-// committed replica, so a ranking can never show a class no shard
-// serves.
+// The replicas' stores are the only enrollment history: the router
+// keeps none. Before its own flip, Enroll asks the growing range's
+// replicas for a record at the next epoch. One that holds a different
+// enrollment there is an unfinished flip — staged, or committed with
+// the ack lost, by a router that then failed — and is rolled forward
+// first, published at that epoch, so the caller's enrollment lands one
+// epoch later. A retry of the same label and words finds its own record
+// and lands once, through the idempotent prepare.
+//
+// Phase 1 prepares the epoch on every admissible replica: each acked
+// prepare is WAL-durable on its replica before the ack. A replica whose
+// committed epoch lags is first caught up, epoch by epoch, with records
+// read from a peer's store. Phase 2 commits on the prepared replicas;
+// the first commit ack makes the enrollment queryable somewhere, and
+// only then does the router publish the new epoch — queries tagged with
+// it fail over until they land on a committed replica, so a ranking can
+// never show a class no shard serves.
 //
 // The epoch number is the idempotent enroll request ID end to end:
 // replicas ack duplicate prepares/commits of the same content cleanly
-// and reject the same epoch with different content, so a crashed and
-// retried flip can never double-enroll (see classmem.Prepare).
+// and refuse the same epoch with different content, so a crashed and
+// retried flip can never double-enroll (see classmem.Prepare). Clean
+// refusals are answers, not faults: they never count against a
+// replica's circuit breaker.
 func (r *Router) Enroll(label string, proto *hdc.Binary) (uint64, error) {
 	if r.closed.Load() {
 		return 0, ErrClosed
@@ -509,118 +517,152 @@ func (r *Router) Enroll(label string, proto *hdc.Binary) (uint64, error) {
 	}
 	r.emu.Lock()
 	defer r.emu.Unlock()
-	st := r.est.Load()
-	s := r.shards[len(r.shards)-1]
+	f := &flip{r: r, failed: map[*replicaPool]bool{}}
+	for _, p := range r.shards[len(r.shards)-1].pools {
+		if p.brk.allow() {
+			f.pools = append(f.pools, p)
+		} else {
+			r.breakerSkips.Add(1)
+			f.lastErr = errCondemned(p.addr)
+		}
+	}
 	rec := &EnrollRecord{
-		Epoch: st.epoch + 1,
+		Epoch: r.est.Load().epoch + 1,
 		Label: label,
 		Words: append([]uint64(nil), proto.Words()...),
 	}
-	r.enrollLog[rec.Epoch] = rec
-
-	var prepared []*replicaPool
-	var lastErr error
-	for _, p := range s.pools {
-		if !p.brk.allow() {
-			r.breakerSkips.Add(1)
-			continue
+	if staged := f.read(rec.Epoch, nil); staged != nil && (staged.Label != rec.Label || !slices.Equal(staged.Words, rec.Words)) {
+		if err := f.publish(staged); err != nil {
+			return 0, err
 		}
-		if err := r.prepareReplica(p, rec); err != nil {
-			p.brk.failure()
-			lastErr = err
-			continue
-		}
-		p.brk.success()
-		prepared = append(prepared, p)
+		rec.Epoch++
 	}
-	if len(prepared) == 0 {
-		delete(r.enrollLog, rec.Epoch)
-		return 0, fmt.Errorf("%w: enroll %q at epoch %d: no replica prepared: %v", ErrShardDown, label, rec.Epoch, lastErr)
+	if err := f.publish(rec); err != nil {
+		return 0, err
 	}
-	committed := 0
-	for _, p := range prepared {
-		if err := r.flipOne(p, rec, true); err != nil {
-			p.brk.failure()
-			lastErr = err
-			continue
-		}
-		committed++
-	}
-	if committed == 0 {
-		// The enrollment is staged (WAL-durable) but published nowhere;
-		// the record stays in the log so the next flip re-drives it as
-		// catch-up before preparing its own epoch.
-		return 0, fmt.Errorf("%w: enroll %q at epoch %d: prepared on %d replicas but no commit acked: %v",
-			ErrShardDown, label, rec.Epoch, len(prepared), lastErr)
-	}
-	labels := append(st.labels[:st.classes:st.classes], label)
-	r.est.Store(&epochState{epoch: rec.Epoch, classes: st.classes + 1, labels: labels})
-	r.enrolls.Add(1)
 	return rec.Epoch, nil
 }
 
-// prepareReplica stages rec on one replica, replaying any flips the
-// replica missed (clean ok=0 refusals carry its committed epoch) from
-// the enroll log first. Replicas lagging past the log's reach — flips
-// from before this router instance — cannot be caught up here and stay
-// read-only at their old epoch.
-func (r *Router) prepareReplica(p *replicaPool, rec *EnrollRecord) error {
-	rep, err := r.flipReply(p, rec, false)
-	if err != nil {
-		return err
+// flip is one Enroll call's view of the growing range: the replicas the
+// breaker admitted, in preference order, minus those a round trip
+// failed on since.
+type flip struct {
+	r       *Router
+	pools   []*replicaPool
+	failed  map[*replicaPool]bool
+	lastErr error
+}
+
+// publish drives rec through prepare and commit on the admitted
+// replicas and publishes it as the router's epoch.
+func (f *flip) publish(rec *EnrollRecord) error {
+	var prepared []*replicaPool
+	for _, p := range f.pools {
+		if f.prepare(p, rec) {
+			prepared = append(prepared, p)
+		}
 	}
-	if rep.OK {
-		return nil
+	if len(prepared) == 0 {
+		return fmt.Errorf("%w: enroll %q at epoch %d: no replica prepared: %v", ErrShardDown, rec.Label, rec.Epoch, f.lastErr)
 	}
-	// Gap: replay committed+1 .. rec.Epoch-1, then retry the prepare.
+	committed := 0
+	for _, p := range prepared {
+		if f.ack(p, opCommit, rec) {
+			committed++
+		}
+	}
+	if committed == 0 {
+		// Staged (WAL-durable) but published nowhere: the next Enroll
+		// reads it back from a replica and finishes it first.
+		return fmt.Errorf("%w: enroll %q at epoch %d: prepared on %d replicas but no commit acked: %v",
+			ErrShardDown, rec.Label, rec.Epoch, len(prepared), f.lastErr)
+	}
+	r := f.r
+	st := r.est.Load()
+	labels := append(st.labels[:st.classes:st.classes], rec.Label)
+	r.est.Store(&epochState{epoch: rec.Epoch, classes: st.classes + 1, labels: labels})
+	r.enrolls.Add(1)
+	return nil
+}
+
+// prepare stages rec on p. A clean refusal whose committed epoch lags
+// rec's predecessor is a gap: each missing epoch is read from a peer's
+// store and prepared and committed on p, then rec is prepared again.
+func (f *flip) prepare(p *replicaPool, rec *EnrollRecord) bool {
+	rep, ok := f.call(p, opPrepare, rec)
+	if !ok || rep.OK {
+		return ok
+	}
+	if rep.Committed+1 >= rec.Epoch {
+		return f.refused(p, opPrepare, rec, rep)
+	}
 	for e := rep.Committed + 1; e < rec.Epoch; e++ {
-		old, ok := r.enrollLog[e]
-		if !ok {
-			return fmt.Errorf("%w: replica %s is at epoch %d and the flip log starts after it", ErrShardDown, p.addr, rep.Committed)
+		old := f.read(e, p)
+		if old == nil {
+			f.lastErr = fmt.Errorf("%w: replica %s is at epoch %d and no peer holds epoch %d", ErrShardDown, p.addr, e-1, e)
+			return false
 		}
-		if pr, err := r.flipReply(p, old, false); err != nil {
-			return err
-		} else if !pr.OK {
-			return fmt.Errorf("%w: replica %s refused catch-up prepare of epoch %d (at %d)", ErrShardDown, p.addr, e, pr.Committed)
-		}
-		if err := r.flipOne(p, old, true); err != nil {
-			return err
+		if !f.ack(p, opPrepare, old) || !f.ack(p, opCommit, old) {
+			return false
 		}
 	}
-	rep, err = r.flipReply(p, rec, false)
-	if err != nil {
-		return err
-	}
-	if !rep.OK {
-		return fmt.Errorf("%w: replica %s refused prepare of epoch %d after catch-up (at %d)", ErrShardDown, p.addr, rec.Epoch, rep.Committed)
+	return f.ack(p, opPrepare, rec)
+}
+
+// read returns the record of epoch from the first admitted replica
+// other than skip, in preference order, that holds it.
+func (f *flip) read(epoch uint64, skip *replicaPool) *EnrollRecord {
+	for _, p := range f.pools {
+		if p == skip {
+			continue
+		}
+		if rep, ok := f.call(p, opRecord, &EnrollRecord{Epoch: epoch}); ok && rep.OK && rep.Record.Epoch == epoch {
+			return rep.Record
+		}
 	}
 	return nil
 }
 
-// flipOne sends one prepare or commit and requires a positive ack.
-func (r *Router) flipOne(p *replicaPool, rec *EnrollRecord, commit bool) error {
-	rep, err := r.flipReply(p, rec, commit)
-	if err != nil {
-		return err
+// ack sends one prepare or commit and reports whether it was accepted.
+func (f *flip) ack(p *replicaPool, op byte, rec *EnrollRecord) bool {
+	rep, ok := f.call(p, op, rec)
+	if ok && !rep.OK {
+		return f.refused(p, op, rec, rep)
 	}
-	if !rep.OK {
-		verb := "prepare"
-		if commit {
-			verb = "commit"
-		}
-		return fmt.Errorf("%w: replica %s refused %s of epoch %d (at %d)", ErrShardDown, p.addr, verb, rec.Epoch, rep.Committed)
-	}
-	return nil
+	return ok
 }
 
-// flipReply runs one prepare/commit round trip on a pooled connection.
-func (r *Router) flipReply(p *replicaPool, rec *EnrollRecord, commit bool) (flipReply, error) {
+// refused records a clean refusal as the flip's last error and
+// returns false.
+func (f *flip) refused(p *replicaPool, op byte, rec *EnrollRecord, rep flipReply) bool {
+	verb := "prepare"
+	if op == opCommit {
+		verb = "commit"
+	}
+	f.lastErr = fmt.Errorf("%w: replica %s refused %s of epoch %d (at %d)", ErrShardDown, p.addr, verb, rec.Epoch, rep.Committed)
+	return false
+}
+
+// call runs one control round trip on p and feeds its breaker: a reply,
+// refusals included, is a success; a dial, transport, or remote error is
+// a failure and takes p out of the rest of this flip.
+func (f *flip) call(p *replicaPool, op byte, rec *EnrollRecord) (flipReply, bool) {
+	if f.failed[p] {
+		return flipReply{}, false
+	}
 	conn, err := p.get()
-	if err != nil {
-		return flipReply{}, err
+	if err == nil {
+		f.r.shardCalls.Add(1)
+		var rep flipReply
+		if rep, err = conn.flipTrip(op, rec, f.r.cfg.ShardTimeout); err == nil {
+			p.brk.success()
+			return rep, true
+		}
 	}
-	r.shardCalls.Add(1)
-	return conn.flipTrip(rec, commit, r.cfg.ShardTimeout)
+	p.brk.failure()
+	f.failed[p] = true
+	f.lastErr = err
+	return flipReply{}, false
 }
 
 // ensure sizes the per-shard scratch slots.

@@ -38,7 +38,8 @@ type Slab struct {
 // the base range plus the first e enrollments, and a query tagged past
 // the committed epoch is refused so the router fails over to a replica
 // that has flipped. Prepare and commit frames drive the view's store
-// through the two-phase flip.
+// through the two-phase flip, and record frames read its enrollments
+// back out.
 type ShardServer struct {
 	info   ShardInfo
 	byBase map[int]*infer.Engine
@@ -267,13 +268,19 @@ func (s *ShardServer) serveConn(conn net.Conn) {
 			if w.write(s.handleFlip(reqID, rec, false)) != nil {
 				return
 			}
-		case opCommit:
-			epoch, err := decodeCommit(body)
+		case opCommit, opRecord:
+			epoch, err := decodeEpoch(body)
 			if err != nil {
 				_ = w.write(appendError(nil, reqID, err.Error()))
 				return
 			}
-			if w.write(s.handleFlip(reqID, &EnrollRecord{Epoch: epoch}, true)) != nil {
+			var reply []byte
+			if op == opCommit {
+				reply = s.handleFlip(reqID, &EnrollRecord{Epoch: epoch}, true)
+			} else {
+				reply = s.handleRecord(reqID, epoch)
+			}
+			if w.write(reply) != nil {
 				return
 			}
 		case opQuery:
@@ -337,16 +344,17 @@ func (s *ShardServer) handleQuery(w *connWriter, reqID uint32, sc *shardScratch)
 }
 
 // handleFlip answers one prepare or commit frame against the growing
-// store. Gap refusals (the replica's committed epoch lags the flip) and
-// commit-without-prepare are clean ok=0 acks carrying the committed
-// epoch, so the router can replay what this replica missed; a content
-// conflict — the same epoch bound to a different enrollment — is a real
-// fault and answers as an error.
+// store. Clean ok=0 acks carry the committed epoch: a gap (the replica's
+// committed epoch lags the flip), a commit without a prepare, and a
+// different enrollment already staged at the next epoch — the router
+// reads that one back (handleRecord) and finishes it first. A conflict
+// at an epoch this replica has already published is split brain and
+// answers as an error.
 //
 //hdc:coldpath enrollment flips are rare control traffic, off the query hot path
 func (s *ShardServer) handleFlip(reqID uint32, rec *EnrollRecord, commit bool) []byte {
 	if s.grow == nil {
-		return appendError(nil, reqID, "shard has no growing slab; enrollment is not served here")
+		return appendError(nil, reqID, msgNotGrowing)
 	}
 	st := s.grow.Store()
 	op := opPrepareOK
@@ -359,15 +367,32 @@ func (s *ShardServer) handleFlip(reqID uint32, rec *EnrollRecord, commit bool) [
 	} else {
 		err = st.Prepare(rec.Epoch, rec.Label, hdc.BinaryFromWords(st.Dim(), rec.Words))
 	}
+	committed := st.Epoch()
 	switch {
 	case err == nil:
-		return appendFlipOK(nil, op, reqID, true, st.Epoch())
-	case errors.Is(err, classmem.ErrEpochGap), errors.Is(err, classmem.ErrNotPrepared):
-		return appendFlipOK(nil, op, reqID, false, st.Epoch())
+		return appendFlipOK(nil, op, reqID, true, committed)
+	case errors.Is(err, classmem.ErrEpochGap), errors.Is(err, classmem.ErrNotPrepared),
+		errors.Is(err, classmem.ErrEpochConflict) && rec.Epoch == committed+1:
+		return appendFlipOK(nil, op, reqID, false, committed)
 	default:
 		return appendError(nil, reqID, err.Error())
 	}
 }
+
+// handleRecord answers a record frame from the growing store: the
+// enrollment that created epoch, if this replica has published it or
+// has it staged as the next one.
+//
+//hdc:coldpath enrollment flips are rare control traffic, off the query hot path
+func (s *ShardServer) handleRecord(reqID uint32, epoch uint64) []byte {
+	if s.grow == nil {
+		return appendError(nil, reqID, msgNotGrowing)
+	}
+	label, words, ok := s.grow.Store().EnrolledRecord(epoch)
+	return appendRecordOK(nil, reqID, ok, &EnrollRecord{Epoch: epoch, Label: label, Words: words})
+}
+
+const msgNotGrowing = "shard has no growing slab; enrollment is not served here"
 
 //hdc:coldpath error construction for rejected frames
 func errBadOp(op byte) error {

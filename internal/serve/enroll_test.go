@@ -170,6 +170,28 @@ func TestHTTPEnroll(t *testing.T) {
 	}
 }
 
+// An enrollment the store cannot take now — no replica of a distributed
+// growing range could — answers 503 with Retry-After; any other hook
+// failure stays a 500.
+func TestHTTPEnrollUnavailable(t *testing.T) {
+	reg := NewRegistry()
+	t.Cleanup(func() { reg.Close() })
+	hookErr := fmt.Errorf("%w: router: shard unavailable on every replica", ErrUnavailable)
+	srv := newHandlerServer(t, reg, Hooks{Enroll: func(context.Context, EnrollRequest) (uint64, error) {
+		return 0, hookErr
+	}})
+	req := EnrollRequest{Label: "x", Vector: []float32{1, -1}}
+	resp, body := postJSON(t, srv.URL+"/v1/enroll", req)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("unavailable store: status %d, Retry-After %q (%s), want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	hookErr = errors.New("store exploded")
+	if resp, body := postJSON(t, srv.URL+"/v1/enroll", req); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("unclassified hook error: status %d (%s), want 500", resp.StatusCode, body)
+	}
+}
+
 func newHandlerServer(t *testing.T, reg *Registry, hooks Hooks) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(NewHandler(reg, hooks))

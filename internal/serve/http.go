@@ -463,11 +463,12 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 	return true
 }
 
-// retryAfterSeconds is the Retry-After hint sent with 429 responses: a
-// coalescer sheds because its queue already holds more than a watermark
-// of work, which drains in Watermark/(MaxBatch×MaxInFlight) rounds of
-// batch readouts — one second is a safely conservative client backoff at
-// any sane configuration.
+// retryAfterSeconds is the Retry-After hint sent with 429 responses
+// (and with 503s for an unavailable enrollment store): a coalescer
+// sheds because its queue already holds more than a watermark of work,
+// which drains in Watermark/(MaxBatch×MaxInFlight) rounds of batch
+// readouts — one second is a safely conservative client backoff at any
+// sane configuration.
 const retryAfterSeconds = 1
 
 // classifyError maps Coalescer.Classify errors onto status codes,
@@ -491,14 +492,17 @@ func classifyError(w http.ResponseWriter, err error) {
 }
 
 // enrollError maps Hooks.Enroll errors onto status codes. Geometry and
-// label problems are the caller's fault (400); an unavailable store —
-// the distributed router could not reach any replica of the owning
-// range, or a flip is already in flight elsewhere — is 503 so the
+// label problems are the caller's fault (400); an unavailable store
+// (ErrUnavailable: the distributed router could not get any replica of
+// the growing range to take the flip) is 503 with Retry-After, so the
 // client retries against a healed cluster.
 func enrollError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrBadInput), errors.Is(err, ErrBadProbe):
 		httpError(w, http.StatusBadRequest, err.Error())
+	case errors.Is(err, ErrUnavailable):
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+		httpError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, ErrClosed):
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):

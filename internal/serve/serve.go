@@ -67,6 +67,10 @@ var (
 	// ErrBadInput: a raw embed input is missing, malformed, or does not
 	// match the embedder's input geometry.
 	ErrBadInput = errors.New("serve: bad embed input")
+	// ErrUnavailable: the store an enrollment goes to cannot take it
+	// now (no replica of a distributed growing range could); the HTTP
+	// layer maps it to 503 with a Retry-After hint.
+	ErrUnavailable = errors.New("serve: class memory unavailable")
 )
 
 // Querier is the classification surface the coalescer batches in front

@@ -201,15 +201,6 @@ func (t *Tensor) Mean() float32 {
 	return float32(s / float64(len(t.Data)))
 }
 
-// Sum returns the sum of all elements (accumulated in float64).
-func (t *Tensor) Sum() float32 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return float32(s)
-}
-
 // Norm returns the L2 norm of all elements viewed as one vector.
 func (t *Tensor) Norm() float32 {
 	var s float64

@@ -34,8 +34,10 @@ func TestFillZeroCopyFrom(t *testing.T) {
 		}
 	}
 	a.Zero()
-	if a.Sum() != 0 {
-		t.Fatal("Zero failed")
+	for _, v := range a.Data {
+		if v != 0 {
+			t.Fatal("Zero failed")
+		}
 	}
 	b := Full(7, 2, 2)
 	a = b.Clone()
