@@ -1,5 +1,5 @@
 // Command hdcserve runs the HTTP serving layer over the batched
-// inference engine: one process, one frozen HDC-ZSC class memory, three
+// inference engine: one process, one frozen HDC-ZSC class memory, two
 // backends served side by side behind micro-batching coalescers.
 //
 //	hdcserve [flags]
@@ -8,11 +8,12 @@
 // deployment would ship it: bundled class prototypes from the
 // stationary HDC attribute encoder over a SynthCUB class set
 // (internal/classmem), realized as float embeddings (reference cosine
-// path), a packed binary item memory (XOR+popcount edge path), and an
-// analog crossbar with typical PCM non-idealities (§V outlook). Each
+// path) and a packed binary item memory (XOR+popcount edge path). Each
 // backend gets its own live view of the class memory (classmem.Live)
 // behind its own coalescer, registered under its backend name ("float",
-// "binary", "imc").
+// "binary"). The analog crossbar backend is not served: its per-query
+// read noise breaks the byte-identical ranking contract, so -backends
+// refuses "imc" and `hdczsc -backend imc` evaluates it offline.
 //
 // With -router shards.json the process serves a DISTRIBUTED class
 // memory instead: no local engines — the registered model is a
@@ -29,12 +30,12 @@
 // through its compiled frozen-graph plan (nn.CompiledNet), so POST
 // /v1/embed-classify accepts raw image tensors and classifies them
 // against any backend — no client-side embedding required. One shared
-// plan serves every in-flight request concurrently. With -precision
-// both (the default) the encoder is additionally served through its
-// quantized int8 compiled plan as "resnet-int8": same frozen weights,
+// plan serves every in-flight request concurrently. The encoder is
+// served twice: as "resnet" through its f32 plan, and as "resnet-int8"
+// through its quantized int8 compiled plan — same frozen weights,
 // per-channel symmetric int8 GEMMs, activations int8 between plan steps
-// (see nn.CompileQuantized) — the software twin of the paper's
-// low-precision deployment story.
+// (see nn.CompileQuantized), the software twin of the paper's
+// low-bit deployment story.
 //
 // Live enrollment: POST /v1/enroll appends a class to the serving
 // memory without a restart. Locally the class memory is an
@@ -63,12 +64,9 @@
 // -watermark 0 restores blocking backpressure. benchmark/run.sh drives
 // it with open-loop traffic.
 //
-// Hot reload: SIGHUP or POST /v1/reload rebuilds the embedders from the
-// startup seed and atomically swaps them into the registry — in-flight
-// requests finish on the old plans, later requests see the new, and no
-// request fails. The class memory is not reloaded: its views already
-// serve the published epoch, and in -router mode the shard processes
-// own it.
+// The process serves the state it starts with until shutdown: the
+// embedder plans are frozen, and the class memory changes only through
+// enrollment, whose epochs the live views already serve.
 //
 // Shutdown: SIGINT or SIGTERM flips /readyz to 503, stops accepting new
 // HTTP requests, drains in-flight requests and pending coalescer
@@ -80,7 +78,6 @@
 //	POST /v1/classify        {"model":"binary","k":5,"embedding":[...]}
 //	POST /v1/embed-classify  {"model":"float","embedder":"resnet","k":3,"input":[...3·H·W floats...]}
 //	POST /v1/enroll          {"label":"night-heron","vector":[...]} or {"label":...,"examples":[[...],...],"seed":7}
-//	POST /v1/reload
 //	GET  /healthz
 //	GET  /readyz
 //	GET  /stats
@@ -105,7 +102,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -121,6 +117,10 @@ import (
 	"repro/internal/tensor"
 )
 
+// defaultBackends is the -backends default: every backend the server
+// serves.
+const defaultBackends = "float,binary"
+
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address (0 port resolves at bind)")
@@ -131,11 +131,10 @@ func main() {
 		maxBatch     = flag.Int("max-batch", 32, "coalescer: most probes in one engine batch")
 		watermark    = flag.Int("watermark", -1, "coalescer: shed (429) once this many requests are queued (-1 = 4×max-batch, 0 = block instead of shedding)")
 		maxInFlight  = flag.Int("max-inflight", 0, "coalescer: execution slots, the cap on concurrently executing engine batches; probes batch only while all are busy (0 = 2×GOMAXPROCS)")
-		backends     = flag.String("backends", "float,binary,imc", "comma-separated backends to register (float, binary, imc)")
+		backends     = flag.String("backends", defaultBackends, "comma-separated backends to register (float, binary)")
 		embedder     = flag.Bool("embedder", true, "register the frozen ResNet image embedder for /v1/embed-classify")
 		embedImg     = flag.Int("embed-img", 16, "embedder input image size (pixels, square)")
 		embedWidth   = flag.Int("embed-width", 8, "embedder ResNet base width")
-		precision    = flag.String("precision", "both", "embedder precision to serve: f32, int8, or both")
 		routerPath   = flag.String("router", "", "serve a distributed class memory from this shards.json instead of local engines")
 		shardTimeout = flag.Duration("shard-timeout", 2*time.Second, "router: per-replica attempt timeout")
 		walDir       = flag.String("wal", "", "durable enrollment: WAL+snapshot directory (empty = enrollments are in-memory only)")
@@ -161,11 +160,7 @@ func main() {
 			*dim = router.Dim() // the embedder must produce shard-dim probes
 		}
 	} else {
-		if *walDir != "" {
-			store, err = classmem.OpenVersioned(*walDir, *classes, *dim, *seed, *snapEvery)
-		} else {
-			store = classmem.NewVersioned(*classes, *dim, *seed)
-		}
+		store, err = classmem.OpenVersioned(*walDir, *classes, *dim, *seed, *snapEvery)
 		if err == nil {
 			reg, err = buildRegistry(store, *workers, *backends, cfg)
 		}
@@ -174,29 +169,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// installEmbedders compiles the embedder plans and hands each to put:
-	// RegisterEmbedder at startup, ReplaceEmbedder on hot reload. Every
-	// plan compiles before any is installed, so a failed reload leaves
-	// the old plans serving.
-	installEmbedders := func(put func(string, serve.Embedder) error) error {
-		if !*embedder {
-			return nil
-		}
-		embs, err := buildEmbedders(*dim, *seed, *embedImg, *embedWidth, *precision)
-		if err != nil {
-			return err
-		}
+	if *embedder {
+		embs, err := buildEmbedders(*dim, *seed, *embedImg, *embedWidth)
 		for name, e := range embs {
-			if err := put(name, e); err != nil {
-				return err
+			if err == nil {
+				err = reg.RegisterEmbedder(name, e)
 			}
 		}
-		return nil
-	}
-	if err := installEmbedders(reg.RegisterEmbedder); err != nil {
-		reg.Close()
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		if err != nil {
+			reg.Close()
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 	if router != nil {
 		log.Printf("hdcserve: routing %d classes at d=%d over %d shard ranges, models %v, embedders %v",
@@ -205,27 +189,6 @@ func main() {
 		co, _ := reg.Get(reg.Names()[0])
 		log.Printf("hdcserve: %d classes at d=%d (epoch %d, %d enrolled), models %v, embedders %v, coalescer max-batch=%d watermark=%d",
 			*classes, *dim, store.Epoch(), store.EnrolledTotal(), reg.Names(), reg.EmbedderNames(), co.Config().MaxBatch, co.Config().Watermark)
-	}
-
-	// Hot reload: rebuild the embedders from the startup parameters and
-	// swap them atomically into the registry. In-flight requests finish
-	// on the old plans; nothing closes, so no request fails across the
-	// swap. The class memory needs no reload: its live views already
-	// serve the published epoch. Serialized — concurrent SIGHUP and POST
-	// /v1/reload do not interleave swaps.
-	var reloadMu sync.Mutex
-	var reloads atomic.Int64
-	reload := func() error {
-		reloadMu.Lock()
-		defer reloadMu.Unlock()
-		start := time.Now()
-		if err := installEmbedders(reg.ReplaceEmbedder); err != nil {
-			return err
-		}
-		n := reloads.Add(1)
-		log.Printf("hdcserve: reload #%d complete in %v (models %v, embedders %v)",
-			n, time.Since(start).Round(time.Millisecond), reg.Names(), reg.EmbedderNames())
-		return nil
 	}
 
 	// Live enrollment: convert the request into a packed prototype, then
@@ -256,20 +219,8 @@ func main() {
 	var ready atomic.Bool
 	srv := &http.Server{Handler: serve.NewHandler(reg, serve.Hooks{
 		Ready:  ready.Load,
-		Reload: reload,
 		Enroll: enroll,
 	})}
-
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		for range hup {
-			log.Print("hdcserve: SIGHUP — reloading")
-			if err := reload(); err != nil {
-				log.Printf("hdcserve: reload failed, old state still serving: %v", err)
-			}
-		}
-	}()
 
 	done := make(chan struct{})
 	go func() {
@@ -322,13 +273,13 @@ func buildRegistry(store *classmem.Versioned, workers int, backendList string, c
 		if name == "" {
 			continue
 		}
+		if name == "imc" {
+			reg.Close()
+			return nil, fmt.Errorf("hdcserve: backend imc is not served: its per-query analog noise breaks the byte-identical ranking contract (evaluate it offline with hdczsc -backend imc)")
+		}
 		var opts []infer.Option
 		if workers > 0 {
 			opts = append(opts, infer.WithWorkers(workers))
-		} else if name == "imc" {
-			// Pin the tile layout so analog noise draws don't depend on
-			// the host's core count (same rationale as cmd/hdczsc).
-			opts = append(opts, infer.WithWorkers(4))
 		}
 		live, err := store.Live(name, 0, opts...)
 		if err != nil {
@@ -423,40 +374,31 @@ func buildRouterRegistry(path string, shardTimeout time.Duration, cfg serve.Conf
 // compiled plan is shared read-only by every in-flight
 // /v1/embed-classify request.
 //
-// precision selects which plans serve: "f32" builds "resnet" only,
-// "int8" builds "resnet-int8" only (the quantized plan of
+// Two plans serve side by side, so clients pick per request: "resnet",
+// the f32 plan, and "resnet-int8", the quantized plan of
 // nn.CompileQuantized, calibrated on a seed-deterministic synthetic
 // image batch at the serving geometry, one image per pass on all cores,
-// with scales bitwise those of a whole-batch pass), and "both" serves
-// the two side by side from one registry so clients pick per request.
-func buildEmbedders(dim int, seed int64, img, width int, precision string) (map[string]serve.Embedder, error) {
+// with scales bitwise those of a whole-batch pass.
+func buildEmbedders(dim int, seed int64, img, width int) (map[string]serve.Embedder, error) {
 	if img < 8 || width < 1 {
 		return nil, fmt.Errorf("bad embedder geometry: -embed-img %d -embed-width %d", img, width)
 	}
-	if precision != "f32" && precision != "int8" && precision != "both" {
-		return nil, fmt.Errorf("unknown -precision %q (want f32, int8, or both)", precision)
-	}
 	rng := rand.New(rand.NewSource(seed + 0x5eed))
 	enc := core.NewImageEncoder(rng, nn.MicroResNet50Config(width), dim)
-	embs := map[string]serve.Embedder{}
-	if precision != "int8" {
-		compiled := enc.Compiled()
-		// Build the plan for the serving geometry now, so the first request
-		// pays no compile latency and a lowering problem fails startup (or
-		// fails the reload, leaving the old plan serving).
-		if err := compiled.Precompile(3, img, img); err != nil {
-			return nil, err
-		}
-		embs["resnet"] = serve.NewNetEmbedder("resnet", compiled, []int{3, img, img}, dim)
+	compiled := enc.Compiled()
+	// Build the plan for the serving geometry now, so the first request
+	// pays no compile latency and a lowering problem fails startup.
+	if err := compiled.Precompile(3, img, img); err != nil {
+		return nil, err
 	}
-	if precision != "f32" {
-		quantized, err := enc.CompiledInt8(calibrationBatch(seed, img))
-		if err != nil {
-			return nil, err
-		}
-		embs["resnet-int8"] = serve.NewNetEmbedder("resnet-int8", quantized, []int{3, img, img}, dim)
+	quantized, err := enc.CompiledInt8(calibrationBatch(seed, img))
+	if err != nil {
+		return nil, err
 	}
-	return embs, nil
+	return map[string]serve.Embedder{
+		"resnet":      serve.NewNetEmbedder("resnet", compiled, []int{3, img, img}, dim),
+		"resnet-int8": serve.NewNetEmbedder("resnet-int8", quantized, []int{3, img, img}, dim),
+	}, nil
 }
 
 // calibrationBatch generates the representative image batch the int8

@@ -8,8 +8,10 @@
 // memory from the shared seed and serves only its assigned ranges
 // through ordinary infer engines over range views (infer.NewRangeBackend).
 // Rankings merged by the router are byte-identical to a single process
-// serving the whole memory, for the deterministic backends (float,
-// binary).
+// serving the whole memory. Only the deterministic backends (float,
+// binary) are served: -backend refuses "imc", whose per-query analog
+// noise breaks that contract (`hdczsc -backend imc` evaluates it
+// offline).
 //
 // Usage:
 //
@@ -54,7 +56,7 @@ func main() {
 		classes   = flag.Int("classes", 50, "global class count of the frozen memory")
 		dim       = flag.Int("d", 1536, "hypervector dimensionality")
 		seed      = flag.Int64("seed", 1, "master seed for the synthetic class memory (must match every shard and the router's oracle)")
-		backend   = flag.String("backend", "float", "backend to serve: float, binary, or imc")
+		backend   = flag.String("backend", "float", "backend to serve: float or binary")
 		workers   = flag.Int("workers", 0, "engine shard workers per slab (0 = NumCPU)")
 		ranges    = flag.String("range", "", "comma-separated lo:hi class ranges to serve")
 		walDir    = flag.String("wal", "", "durable enrollment: WAL+snapshot directory for the growing tail range (empty = in-memory)")
@@ -134,6 +136,9 @@ func parseRanges(rangeList string, classes int) ([][2]int, error) {
 // identical to a frozen slab, so deployments that never enroll are
 // unchanged.
 func buildServer(backend string, classes, dim int, seed int64, workers int, ranges [][2]int, walDir string, snapEvery int) (*dist.ShardServer, *classmem.Versioned, error) {
+	if backend == "imc" {
+		return nil, nil, fmt.Errorf("hdcshard: backend imc is not served: its per-query analog noise breaks the byte-identical ranking contract (evaluate it offline with hdczsc -backend imc)")
+	}
 	var opts []infer.Option
 	if workers > 0 {
 		opts = append(opts, infer.WithWorkers(workers))
@@ -147,11 +152,7 @@ func buildServer(backend string, classes, dim int, seed int64, workers int, rang
 			continue
 		}
 		var err error
-		if walDir != "" {
-			store, err = classmem.OpenVersioned(walDir, classes, dim, seed, snapEvery)
-		} else {
-			store = classmem.NewVersioned(classes, dim, seed)
-		}
+		store, err = classmem.OpenVersioned(walDir, classes, dim, seed, snapEvery)
 		if err == nil {
 			growing, err = store.Live(backend, r[0], opts...)
 		}

@@ -14,7 +14,8 @@
 // nets to calibrated int8 plans (nn.CompileQuantized — per-channel
 // symmetric scales, packed
 // int8 GEMM with fused dequant/requant epilogues, int8 activations
-// between steps), served beside f32 via hdcserve -precision int8.
+// between steps), which hdcserve serves as embedder resnet-int8 beside
+// the f32 resnet.
 //
 // The class memory learns while serving: internal/classmem.Versioned
 // is an RCU epoch store — POST /v1/enroll adds a class under live

@@ -60,10 +60,10 @@ func Build(classes, dim int, seed int64) *Memory {
 // (reference cosine), "binary" (packed Hamming), or "imc" (analog
 // crossbar with typical PCM non-idealities). Unknown names error.
 //
-// Note for distributed serving: "imc" draws per-query analog noise, so
-// only the deterministic backends ("float", "binary") uphold the
-// cross-process byte-identical parity contract; an imc shard serves,
-// but its rankings are stochastic by design.
+// "imc" draws per-query analog noise, so only the deterministic
+// backends ("float", "binary") uphold the byte-identical ranking
+// contract; cmd/hdcserve and cmd/hdcshard refuse to serve imc, and it
+// is evaluated offline (cmd/hdczsc -backend imc).
 func (m *Memory) Backend(name string) (infer.Backend, error) {
 	switch name {
 	case "float":

@@ -109,6 +109,35 @@ func TestVersionedWALReplayBitIdentical(t *testing.T) {
 	}
 }
 
+// An empty dir opens the in-memory store: it enrolls without touching
+// disk, reports no WAL, closes cleanly, and publishes the same memory
+// as NewVersioned at every epoch.
+func TestOpenVersionedInMemory(t *testing.T) {
+	v, err := OpenVersioned("", vtClasses, vtDim, vtSeed, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := NewVersioned(vtClasses, vtDim, vtSeed)
+	assertBitIdentical(t, v, direct)
+	for i := 0; i < 4; i++ {
+		label := fmt.Sprintf("mem-%d", i)
+		ep, err := v.Enroll(label, vtProto(i))
+		if err != nil || ep != uint64(i+1) {
+			t.Fatalf("enroll %d: epoch %d, err %v", i, ep, err)
+		}
+		if _, err := direct.Enroll(label, vtProto(i)); err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, v, direct)
+		if b := v.WALBytes(); b != 0 {
+			t.Fatalf("in-memory store reports %d WAL bytes", b)
+		}
+	}
+	if err := v.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
 // Torn-write recovery: a WAL whose tail record is cut mid-frame must
 // replay cleanly to the last complete record, and a lost commit frame
 // must come back as a staged (prepared, unpublished) enrollment.

@@ -119,8 +119,12 @@ func (w *walFile) close() error { return w.f.Close() }
 // exactly the pre-crash published epoch, with any prepared-but-
 // uncommitted enrollment restored to its staged state. snapshotEvery
 // compacts the WAL into the snapshot after that many commits (0 →
-// never).
+// never). An empty dir opens the in-memory store of NewVersioned:
+// enrollments publish without a WAL and are lost on restart.
 func OpenVersioned(dir string, classes, dim int, seed int64, snapshotEvery int) (*Versioned, error) {
+	if dir == "" {
+		return NewVersioned(classes, dim, seed), nil
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("classmem: wal dir: %w", err)
 	}

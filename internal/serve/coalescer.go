@@ -41,8 +41,8 @@ type reply struct {
 	err   error
 }
 
-// querierBox wraps the swappable querier behind one pointer so a hot
-// reload can atomically publish a new engine/router while in-flight
+// querierBox wraps the swappable querier behind one pointer so
+// SwapQuerier can atomically publish a new engine while in-flight
 // batches finish on the old one.
 type querierBox struct{ q Querier }
 
@@ -116,14 +116,16 @@ func NewCoalescer(q Querier, cfg Config) *Coalescer {
 	return c
 }
 
-// Querier returns the underlying shared querier (the current one, under
-// hot reload).
+// Querier returns the underlying shared querier (the current one, after
+// a SwapQuerier).
 func (c *Coalescer) Querier() Querier { return c.cur.Load().q }
 
 // SwapQuerier atomically replaces the querier behind the coalescer —
-// the hot-reload path: batches dispatched before the swap finish on the
-// old querier, batches dispatched after it run on the new one, and no
-// request ever observes a half-swapped state. The new querier must
+// the seam through which an in-process stack (the benchmark harness's
+// traced replay) swaps in the engine of a newer epoch: batches
+// dispatched before the swap finish on the old querier, batches
+// dispatched after it run on the new one, and no request ever observes
+// a half-swapped state. The new querier must
 // consume the same probe representation at the same dimensionality
 // (admission normalized every queued probe to that geometry already);
 // anything else returns ErrIncompatibleSwap and leaves the old querier

@@ -29,8 +29,8 @@ const (
 // probe; for the packed-binary backend it is sign-packed server-side, so
 // one request shape serves every registered backend.
 type ClassifyRequest struct {
-	// Model names the registered backend ("float", "binary", "imc");
-	// optional when exactly one model is registered.
+	// Model names the registered backend ("float", "binary"); optional
+	// when exactly one model is registered.
 	Model string `json:"model,omitempty"`
 	// K is the number of ranked hits to return (default 1).
 	K int `json:"k,omitempty"`
@@ -166,21 +166,16 @@ type statsResponse struct {
 	Embedders map[string]embedderStats `json:"embedders,omitempty"`
 }
 
-// Hooks lets the process embedding the handler surface its lifecycle:
-// readiness (load balancers poll /readyz and stop routing on 503) and
-// hot reload (POST /v1/reload swaps model state without a restart).
-// The zero value serves a process that is always ready and cannot
-// reload.
+// Hooks lets the process embedding the handler surface its lifecycle
+// and its writes: readiness (load balancers poll /readyz and stop
+// routing on 503) and live enrollment (POST /v1/enroll). The zero value
+// serves a process that is always ready and takes no enrollments.
 type Hooks struct {
 	// Ready reports whether the process should receive traffic. nil
 	// means always ready. /readyz returns 503 while it reports false —
 	// during startup (models still compiling) and during the shutdown
 	// drain window.
 	Ready func() bool
-	// Reload atomically swaps the served model state (new CompiledNet,
-	// new class memory) and returns when the swap is published. nil
-	// disables POST /v1/reload (501).
-	Reload func() error
 	// Enroll adds one class to the live class memory and returns the
 	// epoch at which it became queryable (durable before visible when
 	// the deployment has a WAL). The serve layer has validated shape
@@ -189,9 +184,8 @@ type Hooks struct {
 	Enroll func(ctx context.Context, req EnrollRequest) (uint64, error)
 }
 
-// embedTimers aggregates per-embedder embed-stage latency. Keyed by
-// embedder name so histogram continuity survives a hot reload that
-// replaces the embedder instance behind the name.
+// embedTimers aggregates per-embedder embed-stage latency, keyed by
+// embedder name.
 type embedTimers struct {
 	mu sync.Mutex
 	m  map[string]*lat.Hist
@@ -224,7 +218,6 @@ func (et *embedTimers) snapshot(name string) *lat.Snapshot {
 //	POST /v1/classify        — classify one embedding against a named model
 //	POST /v1/embed-classify  — embed one raw input, then classify it
 //	POST /v1/enroll          — add one class live (wired via Hooks.Enroll)
-//	POST /v1/reload          — hot-swap model state (wired via Hooks.Reload)
 //	GET  /healthz            — liveness plus registered model/embedder names
 //	GET  /readyz             — readiness: 503 during startup and drain
 //	GET  /stats              — per-model coalescer counters + stage histograms
@@ -234,7 +227,7 @@ func (et *embedTimers) snapshot(name string) *lat.Snapshot {
 // size-capped and must be JSON (an explicit non-JSON Content-Type is
 // rejected with 415). Overloaded coalescers surface as 429 with a
 // Retry-After hint. At most one Hooks value wires the embedding
-// process's readiness and reload callbacks in.
+// process's readiness and enrollment callbacks in.
 func NewHandler(reg *Registry, hookList ...Hooks) http.Handler {
 	var hooks Hooks
 	if len(hookList) > 0 {
@@ -349,17 +342,6 @@ func NewHandler(reg *Registry, hookList ...Hooks) http.Handler {
 			Epoch:    epoch,
 			TopK:     toHits(res.TopK),
 		})
-	})
-	mux.HandleFunc("POST /v1/reload", func(w http.ResponseWriter, r *http.Request) {
-		if hooks.Reload == nil {
-			httpError(w, http.StatusNotImplemented, "this deployment has no reload hook")
-			return
-		}
-		if err := hooks.Reload(); err != nil {
-			httpError(w, http.StatusInternalServerError, "reload failed: "+err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "reloaded"})
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Liveness only: the process is up and the mux answers. Routing

@@ -7,11 +7,10 @@ import (
 )
 
 // Registry is the named model table: one process serves several
-// backends — float reference, packed-binary edge path, analog crossbar —
-// side by side, each behind its own coalescer over its own shared
-// engine. It also holds the named embedders of the end-to-end path
-// (/v1/embed-classify): stateless frozen networks any backend's probes
-// can be produced from.
+// backends — float reference, packed-binary edge path — side by side,
+// each behind its own coalescer over its own shared engine. It also
+// holds the named embedders of the end-to-end path (/v1/embed-classify):
+// stateless frozen networks any backend's probes can be produced from.
 type Registry struct {
 	mu        sync.RWMutex
 	models    map[string]*Coalescer
@@ -74,25 +73,6 @@ func (r *Registry) RegisterEmbedder(name string, e Embedder) error {
 	defer r.mu.Unlock()
 	if _, ok := r.embedders[name]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateEmbedder, name)
-	}
-	r.embedders[name] = e
-	return nil
-}
-
-// ReplaceEmbedder atomically swaps the embedder registered under name —
-// the hot-reload path for a freshly compiled network. Requests that
-// resolved the old embedder finish on it (embedders are stateless
-// shared-read objects, so there is nothing to drain); requests arriving
-// after the swap resolve the new one. Replacing an unknown name returns
-// ErrUnknownEmbedder: a reload must not silently grow the registry.
-func (r *Registry) ReplaceEmbedder(name string, e Embedder) error {
-	if e == nil {
-		return fmt.Errorf("serve: cannot replace embedder %q with nil", name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.embedders[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownEmbedder, name)
 	}
 	r.embedders[name] = e
 	return nil

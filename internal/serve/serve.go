@@ -15,11 +15,11 @@
 //     few percent of raw batched-Query throughput (see
 //     BenchmarkServeCoalesced at the repo root) without ever seeing a
 //     batch.
-//   - Registry: a named model table, so one process serves the float,
-//     packed-binary, and analog-crossbar backends side by side. It also
-//     names Embedders: frozen networks run through their compiled plans
-//     (nn.CompiledNet), turning raw inputs into probes so the process
-//     serves end to end (raw input → embed → coalesce → readout).
+//   - Registry: a named model table, so one process serves the float
+//     and packed-binary backends side by side. It also names Embedders:
+//     frozen networks run through their compiled plans (nn.CompiledNet),
+//     turning raw inputs into probes so the process serves end to end
+//     (raw input → embed → coalesce → readout).
 //   - Handler: a net/http JSON API over a Registry — POST /v1/classify,
 //     POST /v1/embed-classify, GET /healthz, GET /stats — the surface
 //     cmd/hdcserve exposes.
@@ -51,7 +51,8 @@ var (
 	ErrOverloaded = errors.New("serve: overloaded, request shed")
 	// ErrIncompatibleSwap: SwapQuerier was offered a querier whose
 	// geometry (dimensionality or probe representation) does not match
-	// the one the coalescer was built around.
+	// the one the coalescer was built around, or that serves fewer
+	// classes than the querier it would replace.
 	ErrIncompatibleSwap = errors.New("serve: incompatible querier swap")
 	// ErrBadProbe: the submitted probe is missing, malformed, or does not
 	// match the backend's dimensionality or representation.

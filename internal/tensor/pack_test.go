@@ -40,7 +40,7 @@ func matmulRefInto(dst, a, b []float32, m, k, n int) {
 
 // refGemm is a float64 oracle for tolerance comparisons: the packed GEMM
 // and the reference kernel matmulRefInto accumulate float32 in different
-// orders, so both are checked against the same high-precision product.
+// orders, so both are checked against the same float64 product.
 func refGemm(a, b *Tensor) []float64 {
 	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
 	out := make([]float64, m*n)
