@@ -31,10 +31,6 @@ import (
 // repro/internal; "<pkg>.*" keeps a whole package. An entry that is
 // reached, or names nothing, fails the test: the list only shrinks.
 var reachKeep = map[string]string{
-	"baselines.RunTCN":            "TCN baseline of Fig. 4; pinned by the baseline digests and a candidate for the Fig. 4 plot",
-	"baselines.TCNConfig":         "configuration of the TCN baseline (see baselines.RunTCN)",
-	"baselines.TCNResult":         "result of the TCN baseline (see baselines.RunTCN)",
-	"baselines.trainContrastive":  "training loop of the TCN baseline (see baselines.RunTCN)",
 	"dist.Router.Stats":           "read by dist tests; the router's counters for the fleet's /stats",
 	"dist.RouterStats":            "result type of dist.Router.Stats",
 	"dist.breaker.condemned":      "read by breaker tests; the breaker state a router health report will expose",

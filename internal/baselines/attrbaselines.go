@@ -49,26 +49,11 @@ func (f *Finetag) Train(d *dataset.SynthCUB, split dataset.Split, cfg core.Train
 }
 
 // Scores returns [N, α] attribute logits and targets over the given
-// instances.
+// instances: the backbone embeds them in one frozen-feature pass
+// (core.AttributeFeatures) and the head reads every feature row at once.
 func (f *Finetag) Scores(d *dataset.SynthCUB, idx []int) (scores, targets *tensor.Tensor) {
-	alpha := f.Head.OutDim()
-	scores = tensor.New(len(idx), alpha)
-	targets = tensor.New(len(idx), alpha)
-	labelOf := map[int]int{}
-	for _, i := range idx {
-		labelOf[d.Instances[i].Class] = 0
-	}
-	const batch = 32
-	for at := 0; at < len(idx); at += batch {
-		end := min(at+batch, len(idx))
-		b := d.MakeBatch(idx[at:end], labelOf, nil, nil)
-		logits := f.Head.Forward(f.Image.Forward(b.Images, false), false)
-		for i := 0; i < end-at; i++ {
-			copy(scores.Row(at+i), logits.Row(i))
-			copy(targets.Row(at+i), b.Attrs.Row(i))
-		}
-	}
-	return scores, targets
+	feats, targets := core.AttributeFeatures(f.Image, d, idx)
+	return f.Head.Forward(feats, false), targets
 }
 
 // A3M is the reproduction's stand-in for the attribute-aware attention
@@ -141,29 +126,17 @@ func (a *A3M) Train(d *dataset.SynthCUB, split dataset.Split, cfg core.TrainConf
 }
 
 // Scores returns [N, α] per-attribute scores (group-wise softmax
-// probabilities) and targets over the given instances.
+// probabilities) and targets over the given instances: the backbone
+// embeds them in one frozen-feature pass (core.AttributeFeatures) and
+// each group head reads every feature row at once.
 func (a *A3M) Scores(d *dataset.SynthCUB, idx []int) (scores, targets *tensor.Tensor) {
-	alpha := a.Schema.Alpha()
-	scores = tensor.New(len(idx), alpha)
-	targets = tensor.New(len(idx), alpha)
-	labelOf := map[int]int{}
-	for _, i := range idx {
-		labelOf[d.Instances[i].Class] = 0
-	}
-	const batch = 32
-	for at := 0; at < len(idx); at += batch {
-		end := min(at+batch, len(idx))
-		b := d.MakeBatch(idx[at:end], labelOf, nil, nil)
-		emb := a.Image.Forward(b.Images, false)
-		for g, head := range a.Heads {
-			off := a.Schema.GroupAttrOffset[g]
-			probs := tensor.SoftmaxRows(head.Forward(emb, false))
-			for i := 0; i < end-at; i++ {
-				copy(scores.Row(at + i)[off:off+probs.Dim(1)], probs.Row(i))
-			}
-		}
-		for i := 0; i < end-at; i++ {
-			copy(targets.Row(at+i), b.Attrs.Row(i))
+	feats, targets := core.AttributeFeatures(a.Image, d, idx)
+	scores = tensor.New(len(idx), a.Schema.Alpha())
+	for g, head := range a.Heads {
+		off := a.Schema.GroupAttrOffset[g]
+		probs := tensor.SoftmaxRows(head.Forward(feats, false))
+		for i := range idx {
+			copy(scores.Row(i)[off:off+probs.Dim(1)], probs.Row(i))
 		}
 	}
 	return scores, targets

@@ -101,21 +101,17 @@ func RunFeatGen(img *core.ImageEncoder, d *dataset.SynthCUB, split dataset.Split
 	// --- Stage 2: synthesize unseen-class features. ---
 	cTr, cTe := len(split.TrainClasses), len(split.TestClasses)
 	synthN := cTe * cfg.PerClass
-	synthFeats := tensor.New(synthN, f)
+	synthIn := tensor.New(synthN, alpha+cfg.NoiseDim)
 	synthLabels := make([]int, synthN)
-	for c := 0; c < cTe; c++ {
-		for k := 0; k < cfg.PerClass; k++ {
-			in := tensor.New(1, alpha+cfg.NoiseDim)
-			copy(in.Row(0)[:alpha], testAttr.Row(c))
-			for z := 0; z < cfg.NoiseDim; z++ {
-				in.Row(0)[alpha+z] = float32(rng.NormFloat64())
-			}
-			out := gen.Forward(in, false)
-			idx := c*cfg.PerClass + k
-			copy(synthFeats.Row(idx), out.Row(0))
-			synthLabels[idx] = cTr + c // unseen classes follow seen ones
+	for i := range synthLabels {
+		c := i / cfg.PerClass
+		copy(synthIn.Row(i)[:alpha], testAttr.Row(c))
+		for z := 0; z < cfg.NoiseDim; z++ {
+			synthIn.Row(i)[alpha+z] = float32(rng.NormFloat64())
 		}
+		synthLabels[i] = cTr + c // unseen classes follow seen ones
 	}
+	synthFeats := gen.Forward(synthIn, false)
 
 	// --- Stage 3: classifier over all classes on real ∪ synthetic. ---
 	cls := nn.NewSequential(

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/attrenc"
 	"repro/internal/dataset"
+	"repro/internal/hdc"
 	"repro/internal/imc"
 	"repro/internal/infer"
 	"repro/internal/nn"
@@ -392,16 +393,18 @@ func TestQuantizedEvalWithinHalfPoint(t *testing.T) {
 	pts("ZSC top-5", zF.Top5, zQ.Top5)
 }
 
-// TestEvalDeterministicAcrossGOMAXPROCS pins the tentpole guarantee of
-// the concurrent embed pipeline: seeded ZSC accuracies are
-// byte-identical at any core count, for both the deterministic float
-// readout and the stochastic analog crossbar (whose readout is
-// consumed strictly in batch order).
+// TestEvalDeterministicAcrossGOMAXPROCS pins the evaluation readout —
+// one EmbedInstances pass, then one engine query over every test
+// instance — to the serial readout it replaces (plan.Infer per
+// 32-instance batch in order, one query per batch, hits counted), for
+// the float, binary and noisy-crossbar engines, and checks that seeded
+// accuracies are byte-identical at any core count. The crossbar draws
+// read noise one probe row at a time in row order, so a single query in
+// instance order must draw exactly what the in-order batches drew.
 func TestEvalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	// Enough images per class that the evaluated population spans
 	// several embedding batches (batchSize 32): 4 test classes × 18 = 72
-	// test instances → 3 batches. A single-batch split would leave the
-	// fan-out and the ordered stochastic readout unexercised.
+	// test instances → 3 batches, the last one ragged.
 	dcfg := dataset.DefaultConfig()
 	dcfg.NumClasses = 12
 	dcfg.ImagesPerClass = 18
@@ -412,31 +415,69 @@ func TestEvalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	cfg := tinyPipeline(31)
 	model, _ := cfg.Build(d.Schema)
 
-	crossbarEngine := func() *infer.Engine {
-		phi := ClassEmbeddings(model, d, split.TestClasses)
-		labels := ClassLabels(d, split.TestClasses)
-		be := infer.NewCrossbarBackend(phi, labels, model.Kernel.Temperature(), imc.TypicalPCM())
-		// Pin the tile layout so analog noise draws don't depend on the
-		// host's core count (same rationale as cmd/hdczsc).
-		return infer.New(be, infer.WithWorkers(2))
+	phi := ClassEmbeddings(model, d, split.TestClasses)
+	labels := ClassLabels(d, split.TestClasses)
+	engines := []struct {
+		name string
+		eng  func() *infer.Engine
+	}{
+		{"float", func() *infer.Engine { return inferEngine(model, d, split.TestClasses) }},
+		{"binary", func() *infer.Engine {
+			im := hdc.NewItemMemory(phi.Dim(1))
+			for i, v := range infer.PackSign(phi) {
+				im.Store(labels[i], v)
+			}
+			return infer.New(infer.NewBinaryBackend(im))
+		}},
+		{"imc", func() *infer.Engine {
+			be := infer.NewCrossbarBackend(phi, labels, model.Kernel.Temperature(), imc.TypicalPCM())
+			// Pin the tile layout so analog noise draws don't depend on the
+			// host's core count (same rationale as cmd/hdczsc).
+			return infer.New(be, infer.WithWorkers(2))
+		}},
 	}
 
-	run := func(procs int) (ZSCResult, ZSCResult) {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		return EvalZSC(model, d, split),
-			EvalZSCWithEngine(model, d, split, crossbarEngine())
+	serial := func(eng *infer.Engine) ZSCResult {
+		labelOf := dataset.ClassIndexMap(split.TestClasses)
+		k := min(5, len(split.TestClasses))
+		plan := model.Image.EvalNet()
+		sc := nn.NewScratch()
+		var hit1, hitK int
+		for at := 0; at < len(split.Test); at += 32 {
+			sc.Reset()
+			batch := d.MakeBatch(split.Test[at:min(at+32, len(split.Test))], labelOf, nil, nil)
+			for i, r := range eng.Query(infer.DenseBatch(plan.Infer(batch.Images, sc)), k) {
+				if r.TopK[0].Class == batch.Labels[i] {
+					hit1++
+				}
+				for _, h := range r.TopK {
+					if h.Class == batch.Labels[i] {
+						hitK++
+						break
+					}
+				}
+			}
+		}
+		n := float64(len(split.Test))
+		return ZSCResult{Top1: float64(hit1) / n, Top5: float64(hitK) / n}
 	}
 
-	zsc1, imc1 := run(1)
-	for _, procs := range []int{2, 4} {
-		zscN, imcN := run(procs)
-		if zscN != zsc1 {
-			t.Fatalf("EvalZSC differs at GOMAXPROCS=%d: %+v vs %+v", procs, zscN, zsc1)
+	for _, e := range engines {
+		want := serial(e.eng())
+		for _, procs := range []int{1, 2, 4} {
+			old := runtime.GOMAXPROCS(procs)
+			got := EvalZSCWithEngine(model, d, split, e.eng())
+			runtime.GOMAXPROCS(old)
+			if got != want {
+				t.Fatalf("%s: GOMAXPROCS=%d gives %+v, serial per-batch readout %+v", e.name, procs, got, want)
+			}
 		}
-		if imcN != imc1 {
-			t.Fatalf("stochastic-crossbar eval differs at GOMAXPROCS=%d: %+v vs %+v", procs, imcN, imc1)
-		}
+	}
+	old := runtime.GOMAXPROCS(1)
+	zsc := EvalZSC(model, d, split)
+	runtime.GOMAXPROCS(old)
+	if want := serial(engines[0].eng()); zsc != want {
+		t.Fatalf("EvalZSC = %+v, serial float readout %+v", zsc, want)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/infer"
@@ -13,8 +12,9 @@ import (
 
 // This file is the bridge between the trained model and the batched
 // inference engine (internal/infer): evaluation builds a Backend from the
-// model's frozen attribute embeddings and streams image embeddings
-// through the engine's sharded readout. EvalZSC uses the float
+// model's frozen attribute embeddings, embeds the test images in one
+// frozen-feature pass (EmbedInstances) and scores them in one query of
+// the engine's sharded readout. EvalZSC uses the float
 // reference backend; EvalZSCWithEngine accepts any engine (the packed
 // XOR+popcount edge path, the analog crossbar), which is how cmd/hdczsc
 // exposes backend selection.
@@ -61,13 +61,13 @@ func EvalZSCWithEngine(m *Model, d *dataset.SynthCUB, split dataset.Split, eng *
 // EmbedInstances runs a compiled frozen plan over the given instances
 // in batches of 32 and returns their [len(ids), out] embedding rows
 // with each instance's label under labelOf. It is the one frozen-
-// feature pass: phase III's backbone cache, attribute scoring and the
-// baselines' frozen encoders all embed through it, with the arithmetic
-// evaluation uses. Batches fan out across GOMAXPROCS workers, each with
-// its own pooled nn.Scratch, and every batch is embedded by exactly one
-// worker into its own disjoint rows; the plan is bitwise deterministic,
-// so the result is identical at any core count. feats is nil when ids
-// is empty.
+// feature pass: evaluation, phase III's backbone cache, attribute
+// scoring and the baselines' frozen encoders all embed through it.
+// Batches fan out across GOMAXPROCS workers, each with its own pooled
+// nn.Scratch, and every batch is embedded by exactly one worker into
+// its own disjoint rows; the plan is bitwise deterministic, so the
+// result is identical at any core count. feats is nil when ids is
+// empty.
 func EmbedInstances(plan *nn.CompiledNet, d *dataset.SynthCUB, ids []int, labelOf map[int]int) (feats *tensor.Tensor, labels []int) {
 	const batchSize = 32
 	n := len(ids)
@@ -107,153 +107,37 @@ func EmbedInstances(plan *nn.CompiledNet, d *dataset.SynthCUB, ids []int, labelO
 	return feats, labels
 }
 
-// engineAccuracy embeds the given instances in batches, queries the
-// engine for top-k, and returns top-1 and top-k accuracy. Probes are
-// offered dense; binary backends sign-pack them lazily via
-// Batch.SignPacked, so the float/crossbar paths never pay the packing
-// cost.
+// engineAccuracy embeds the given instances in one frozen-feature pass
+// (EmbedInstances over the model's evaluation plan), queries the engine
+// once for the top-k of every probe, and returns top-1 and top-k
+// accuracy. Probes are offered dense; binary backends sign-pack them
+// lazily via Batch.SignPacked, so the float/crossbar paths never pay the
+// packing cost.
 //
-// The whole path is a bounded embed→readout pipeline on one shared
-// frozen model: embedding batches fan out across worker goroutines that
-// run the compiled frozen-graph plan (per-worker nn.Scratch, zero
-// steady-state allocation), and each worker queries the one shared
-// engine as soon as its batch is embedded. Accuracies are byte-identical
-// at any GOMAXPROCS: the compiled plan is bitwise deterministic for any
-// worker budget, each batch is embedded by exactly one worker, and the
-// hit counters are order-independent sums.
-//
-// Backends whose scores depend on query order (the noisy crossbar
-// consumes a per-tile read-noise stream) keep concurrent embedding but
-// hand embedded batches to a single readout goroutine that consumes
-// them strictly in batch order, so a seeded run prints the same
-// accuracies on every machine and at any core count. In both modes the
-// number of embedded batches pinned in memory is bounded by the worker
-// budget regardless of the evaluation set size.
+// Seeded accuracies are byte-identical at any GOMAXPROCS and equal to an
+// in-order per-batch readout: EmbedInstances is bitwise deterministic, a
+// probe's ranking does not depend on the batch it rides in, and the
+// noisy crossbar draws read noise one probe row at a time in row order
+// (see imc.Crossbar.MatMulTInto), so one query in instance order draws
+// exactly what batch-by-batch queries in order would.
 func engineAccuracy(m *Model, d *dataset.SynthCUB, eng *infer.Engine,
 	idx []int, labelOf map[int]int, k int) (top1, topk float64) {
 
 	if len(idx) == 0 {
 		return 0, 0
 	}
-	const batchSize = 32
-	nBatches := (len(idx) + batchSize - 1) / batchSize
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nBatches {
-		workers = nBatches
-	}
-
-	var hit1, hitK atomic.Int64
-	count := func(results []infer.Result, labels []int) {
-		var h1, hK int64
-		for i, r := range results {
-			want := labels[i]
-			if r.TopK[0].Class == want {
-				h1++
-			}
-			for _, h := range r.TopK {
-				if h.Class == want {
-					hK++
-					break
-				}
+	feats, labels := EmbedInstances(m.Image.EvalNet(), d, idx, labelOf)
+	var hit1, hitK int
+	for i, r := range eng.Query(infer.DenseBatch(feats), k) {
+		if r.TopK[0].Class == labels[i] {
+			hit1++
+		}
+		for _, h := range r.TopK {
+			if h.Class == labels[i] {
+				hitK++
+				break
 			}
 		}
-		hit1.Add(h1)
-		hitK.Add(hK)
 	}
-	// embed assembles and embeds batch bi on the caller's scratch through
-	// the compiled frozen-graph plan (BN folded, epilogues fused — see
-	// ImageEncoder.Compiled), or through the quantized int8 plan when one
-	// has been installed (ImageEncoder.CompiledInt8); the returned
-	// embedding lives in that scratch until its next Reset. Both plans
-	// are bitwise deterministic across GOMAXPROCS, which keeps seeded
-	// accuracies byte-identical at any core count.
-	compiled := m.Image.EvalNet()
-	embed := func(sc *nn.Scratch, bi int) (*tensor.Tensor, []int) {
-		at := bi * batchSize
-		end := min(at+batchSize, len(idx))
-		batch := d.MakeBatch(idx[at:end], labelOf, nil, nil)
-		return compiled.Infer(batch.Images, sc), batch.Labels
-	}
-
-	stochastic := false
-	if sb, ok := eng.Backend().(interface{ Stochastic() bool }); ok && sb.Stochastic() {
-		stochastic = true
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	if !stochastic {
-		// Fused pipeline: each worker embeds and immediately queries the
-		// shared engine (Engine.Query is safe for concurrent callers).
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := nn.GetScratch()
-				defer nn.PutScratch(sc)
-				// Per-worker result buffer: count consumes results before the
-				// next query reuses it, so result/TopK storage is reused
-				// across the loop (the per-batch Batch wrapper and its lazy
-				// norms still allocate once per query).
-				var rb infer.ResultBuf
-				for bi := range jobs {
-					sc.Reset()
-					emb, labels := embed(sc, bi)
-					count(eng.QueryInto(infer.DenseBatch(emb), k, &rb), labels)
-				}
-			}()
-		}
-		for bi := 0; bi < nBatches; bi++ {
-			jobs <- bi
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		// Ordered readout: embedding still fans out, but batches are
-		// queried strictly in index order to keep the backend's noise
-		// stream deterministic. slots bounds the embedded batches pinned
-		// while they wait for their turn. The feeder acquires the slot
-		// BEFORE handing out a job, so slot holders are always the lowest
-		// outstanding batch indices — the batch the readout is waiting on
-		// always owns a slot and can finish, which rules out the deadlock
-		// where later batches exhaust every slot first.
-		type embedded struct {
-			emb    *tensor.Tensor
-			labels []int
-		}
-		ready := make([]chan embedded, nBatches)
-		for i := range ready {
-			ready[i] = make(chan embedded, 1)
-		}
-		slots := make(chan struct{}, workers+1)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := nn.GetScratch()
-				defer nn.PutScratch(sc)
-				for bi := range jobs {
-					sc.Reset()
-					emb, labels := embed(sc, bi)
-					// Clone out of the scratch: the worker moves on to its
-					// next batch before the readout consumes this one.
-					ready[bi] <- embedded{emb.Clone(), labels}
-				}
-			}()
-		}
-		go func() {
-			for bi := 0; bi < nBatches; bi++ {
-				slots <- struct{}{} // released by the readout after batch bi is consumed
-				jobs <- bi
-			}
-			close(jobs)
-		}()
-		for bi := 0; bi < nBatches; bi++ {
-			eb := <-ready[bi]
-			count(eng.Query(infer.DenseBatch(eb.emb), k), eb.labels)
-			<-slots
-		}
-		wg.Wait()
-	}
-	return float64(hit1.Load()) / float64(len(idx)), float64(hitK.Load()) / float64(len(idx))
+	return float64(hit1) / float64(len(idx)), float64(hitK) / float64(len(idx))
 }

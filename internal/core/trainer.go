@@ -228,20 +228,14 @@ type ZSCResult struct {
 // top-1/top-5 accuracy against test labels with all weights stationary
 // (Fig. 3). The readout routes through the batched inference engine
 // (internal/infer): the frozen class embeddings ϕ(A_test) become a float
-// backend sharded across workers, and images are scored in embedding
-// batches.
+// backend sharded across workers, and every test image, embedded by
+// EmbedInstances, is scored in one query (see EvalZSCWithEngine).
 func EvalZSC(m *Model, d *dataset.SynthCUB, split dataset.Split) ZSCResult {
 	if len(split.TestClasses) == 0 {
 		// Degenerate split: no candidate classes, nothing to score.
 		return ZSCResult{}
 	}
-	eng := inferEngine(m, d, split.TestClasses)
-	k := 5
-	if n := len(split.TestClasses); n < k {
-		k = n
-	}
-	top1, topk := engineAccuracy(m, d, eng, split.Test, dataset.ClassIndexMap(split.TestClasses), k)
-	return ZSCResult{Top1: top1, Top5: topk}
+	return EvalZSCWithEngine(m, d, split, inferEngine(m, d, split.TestClasses))
 }
 
 // AttributeScores runs the image encoder's compiled plan over the given
@@ -251,15 +245,25 @@ func EvalZSC(m *Model, d *dataset.SynthCUB, split dataset.Split) ZSCResult {
 func AttributeScores(img *ImageEncoder, kernel *SimilarityKernel, dict *tensor.Tensor,
 	d *dataset.SynthCUB, instanceIdx []int) (scores, targets *tensor.Tensor) {
 
-	targets = tensor.New(len(instanceIdx), dict.Dim(0))
+	feats, targets := AttributeFeatures(img, d, instanceIdx)
+	return kernel.Forward(feats, dict), targets
+}
+
+// AttributeFeatures embeds the given instances through the encoder's
+// compiled plan (EmbedInstances) and returns their [N, d′] features
+// with the [N, α] ground-truth attribute targets: the frozen-feature
+// pass behind every Table I attribute readout — AttributeScores and the
+// Finetag and A3M baselines' heads.
+func AttributeFeatures(img *ImageEncoder, d *dataset.SynthCUB, instanceIdx []int) (feats, targets *tensor.Tensor) {
+	targets = tensor.New(len(instanceIdx), d.Schema.Alpha())
 	// Any-class label map: attribute evaluation is label-space free.
 	labelOf := map[int]int{}
 	for r, i := range instanceIdx {
 		labelOf[d.Instances[i].Class] = 0
 		copy(targets.Row(r), d.Instances[i].Attr)
 	}
-	emb, _ := EmbedInstances(img.Compiled(), d, instanceIdx, labelOf)
-	return kernel.Forward(emb, dict), targets
+	feats, _ = EmbedInstances(img.Compiled(), d, instanceIdx, labelOf)
+	return feats, targets
 }
 
 // FormatMuSigma renders a µ±σ pair the way the paper reports results.

@@ -32,7 +32,7 @@ func paramsDigest(params []*nn.Param) string {
 // TestPaperDigest pins the numbers the reproduction exists to produce, at
 // the micro scale: the Table I/II and Fig. 4/5 CSVs byte for byte, the
 // trained weights of the preferred three-phase pipeline, and RunTCN's
-// result (the one training loop no paper CSV reaches). A changed digest
+// exact result (Fig. 4 plots it, rounded). A changed digest
 // means a training or evaluation path changed its arithmetic.
 func TestPaperDigest(t *testing.T) {
 	sc := microScale()
@@ -46,7 +46,7 @@ func TestPaperDigest(t *testing.T) {
 		{"table2", func() string { return RunTable2(sc).CSV() },
 			"49040acac91459d451eca9530c01709704ed3c1212951ecc35e7b93c195c219e"},
 		{"fig4", func() string { return RunFig4(sc).CSV() },
-			"dc3a995156fb319a7a8337dd2aba838a38dd31226bceca0678a86ffc425739c2"},
+			"95c0ff6d36750686ecc9695a9cefe193d72bd3ae2f1443a31256c486904ee804"},
 		{"fig5", func() string { return RunFig5(sc).CSV() },
 			"00cf0bb8b1d2b756d7928fbce81f7ef5aecfc3a1531f8aadaee47dac2962cb08"},
 	} {

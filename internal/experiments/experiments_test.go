@@ -125,8 +125,8 @@ func TestRunFig5SweepsAllPanels(t *testing.T) {
 
 func TestGenerativeVariantsOrderedByCapacity(t *testing.T) {
 	vs := generativeVariants(false)
-	if len(vs) != 7 {
-		t.Fatalf("want 7 variants, got %d", len(vs))
+	if len(vs) != 6 {
+		t.Fatalf("want 6 variants, got %d", len(vs))
 	}
 	for i := 1; i < len(vs); i++ {
 		if vs[i].HiddenGen <= vs[i-1].HiddenGen {
@@ -141,7 +141,7 @@ func TestGenerativeVariantsOrderedByCapacity(t *testing.T) {
 
 func TestRunFig4PointsAndFront(t *testing.T) {
 	r := RunFig4(microScale())
-	if len(r.Points) < 6 { // 2 ours + ESZSL + ≥3 generative
+	if len(r.Points) < 7 { // 2 ours + ESZSL + TCN + ≥3 generative
 		t.Fatalf("Fig 4 has only %d points", len(r.Points))
 	}
 	var ours, generative int

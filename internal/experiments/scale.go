@@ -83,11 +83,12 @@ func (sc Scale) Backbone101() nn.ResNetConfig {
 }
 
 // BaselineBackbone returns the heavier image encoder the published
-// baselines of Fig. 4 carry. The reference models (ESZSL, TCN, and the
-// generative family) are built on larger encoders than the paper's
-// ResNet50 — that is precisely why their Fig. 4 parameter counts exceed
-// HDC-ZSC's — so the reproduction gives them the ResNet101-topology
-// backbone at increased width.
+// baselines of Fig. 4 carry. ESZSL and the generative family are built
+// on larger encoders than the paper's ResNet50 — that is precisely why
+// their Fig. 4 parameter counts exceed HDC-ZSC's — so the reproduction
+// gives them the ResNet101-topology backbone at increased width. (TCN
+// keeps the pipeline's backbone; its wider trainable attribute MLP is
+// what makes it larger.)
 func (sc Scale) BaselineBackbone() nn.ResNetConfig {
 	return nn.MicroResNet101Config(sc.Width+2).WithFlatten(sc.ImgSize, sc.ImgSize)
 }

@@ -53,13 +53,6 @@ func TypicalPCM() Config {
 	return Config{ProgNoise: 0.04, ReadNoise: 0.02, ADCBits: 8, Seed: 1}
 }
 
-// StochasticRead reports whether MVM outputs depend on the order reads
-// are issued: per-MVM read noise consumes a shared per-array stream, so
-// concurrent or reordered reads see different draws. Programming noise
-// does not count — it is fixed at Program time from the config seed,
-// independent of use order.
-func (c Config) StochasticRead() bool { return c.ReadNoise > 0 }
-
 // Crossbar is a weight matrix programmed into a simulated analog array.
 // The programmed (noisy) conductances are drawn once at Program time —
 // exactly like device programming — while read noise is fresh per MVM.

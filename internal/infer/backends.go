@@ -375,7 +375,14 @@ func selectTopKDist(dists []int, lo int, invD float64, dst []Hit) {
 // (exactly the physical layout of a multi-tile accelerator), and scoring
 // runs the tile's noisy MVM + cosine readout. Tiles are programmed
 // lazily on first use of a shard range and cached, so programming noise
-// is drawn once per tile like real device programming.
+// is drawn once per tile like real device programming. Read noise comes
+// from each tile's own seeded stream, drawn one probe row at a time in
+// row order, so a probe's scores depend on the probes queried before it
+// on the same engine: queries issued in order from one goroutine
+// reproduce a seeded run however the probes are batched (core's
+// evaluation readout issues one query in instance order), while
+// concurrent queries interleave draws like concurrent reads of a
+// physical array.
 type CrossbarBackend struct {
 	classRows
 	k   float32
@@ -417,12 +424,6 @@ func (b *CrossbarBackend) Name() string { return "imc" }
 // real-valued probe rows), so packed-only batches fail at the engine
 // boundary instead of deep inside the tile.
 func (b *CrossbarBackend) Requires() Representation { return RepDense }
-
-// Stochastic reports whether query scores depend on query order (analog
-// read noise draws from per-tile streams). Callers that need seeded
-// reproducibility — core's evaluation readout — serialize their queries
-// against stochastic backends instead of fanning out.
-func (b *CrossbarBackend) Stochastic() bool { return b.cfg.StochasticRead() }
 
 // tile returns (programming on first use) the crossbar tile for [lo, hi).
 func (b *CrossbarBackend) tile(lo, hi int) *imc.SimilarityKernel {

@@ -14,8 +14,8 @@ import "fmt"
 // (and the cached shard tile) the single-process engine would use —
 // the foundation of the distributed path's byte-identical-merge
 // contract. The fused ShardSelector fast path is preserved when the
-// inner backend implements it, as are the RepresentationRequirer and
-// Stochastic declarations.
+// inner backend implements it, as is the RepresentationRequirer
+// declaration.
 func NewRangeBackend(inner Backend, lo, hi int) Backend {
 	if lo < 0 || hi > inner.Classes() || lo >= hi {
 		panic(fmt.Sprintf("infer.NewRangeBackend: bad range [%d, %d) over %d classes",
@@ -48,14 +48,6 @@ func (b *rangeBackend) Requires() Representation {
 		return rr.Requires()
 	}
 	return RepDense
-}
-
-// Stochastic passes through the inner backend's declaration.
-func (b *rangeBackend) Stochastic() bool {
-	if sb, ok := b.inner.(interface{ Stochastic() bool }); ok {
-		return sb.Stochastic()
-	}
-	return false
 }
 
 // ScoreShard scores local classes [lo, hi) by scoring global classes
